@@ -4,8 +4,12 @@
 // figure plots, so the output can be piped straight into gnuplot.
 #pragma once
 
+#include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -18,40 +22,38 @@
 
 namespace roia::benchharness {
 
-/// Activates the process-global telemetry context from environment knobs
-/// and writes the requested sidecar files when the harness exits:
-///   ROIA_TRACE_OUT    Chrome/Perfetto trace-event JSON (simulated time)
-///   ROIA_METRICS_OUT  metrics snapshot; format by extension: .prom
-///                     (Prometheus text), .csv, anything else JSONL
-///   ROIA_AUDIT_OUT    RMS decision audit log, JSONL
-///   ROIA_SLO_OUT      SLO compliance/burn-rate summary, JSONL; also
-///                     installs the default objectives when none are set
-///   ROIA_DRIFT_OUT    Eq.2/Eq.4 model-drift residual summary, JSONL
-///   ROIA_FLIGHT_OUT   flight-recorder dumps (breach/crash rings), JSONL
-///   ROIA_TRACE_SAMPLE synthesize tick spans every Nth tick (default 1)
-/// With none of the knobs set, telemetry stays off and the run is
-/// bit-identical to one without this scope.
+/// Activates the process-global telemetry context when ROIA_TELEMETRY_DIR
+/// names a directory, and writes every sidecar there when the harness exits:
+///   trace.json     Chrome/Perfetto trace-event JSON (simulated time)
+///   metrics.jsonl  metrics registry snapshot
+///   audit.jsonl    RMS decision audit log
+///   slo.jsonl      SLO compliance/burn-rate + protocol summary (the
+///                  default objectives are installed when none are set)
+///   drift.jsonl    Eq.2/Eq.4 model-drift residual summary
+///   flight.jsonl   flight-recorder dumps (breach/crash rings)
+/// ROIA_TRACE_SAMPLE synthesizes tick spans every Nth tick (default 1).
+/// The directory is created and every file opened before the run starts;
+/// any failure to create, open or write one exits the harness nonzero.
+/// With the knob unset, telemetry stays off and the run is bit-identical to
+/// one without this scope.
 class TelemetryScope {
  public:
   TelemetryScope() {
-    traceOut_ = envString("ROIA_TRACE_OUT");
-    metricsOut_ = envString("ROIA_METRICS_OUT");
-    auditOut_ = envString("ROIA_AUDIT_OUT");
-    sloOut_ = envString("ROIA_SLO_OUT");
-    driftOut_ = envString("ROIA_DRIFT_OUT");
-    flightOut_ = envString("ROIA_FLIGHT_OUT");
-    if (traceOut_.empty() && metricsOut_.empty() && auditOut_.empty() && sloOut_.empty() &&
-        driftOut_.empty() && flightOut_.empty()) {
-      return;
+    const char* dir = std::getenv("ROIA_TELEMETRY_DIR");
+    if (dir == nullptr || *dir == '\0') return;
+    dir_ = dir;
+    std::error_code error;
+    std::filesystem::create_directories(dir_, error);
+    if (error) fail(dir_, error.message().c_str());
+    for (std::size_t i = 0; i < kFileCount; ++i) {
+      files_[i].open(dir_ / kFileNames[i]);
+      if (!files_[i]) fail(dir_ / kFileNames[i], std::strerror(errno));
     }
-    active_ = true;
     obs::Telemetry& telemetry = obs::Telemetry::global();
     telemetry.setActive(true);
-    telemetry.tracer.setEnabled(!traceOut_.empty());
-    telemetry.audit.setEnabled(!auditOut_.empty() || !sloOut_.empty() || !flightOut_.empty());
-    if (!sloOut_.empty() && telemetry.slo.objectiveCount() == 0) {
-      obs::installDefaultObjectives(telemetry.slo);
-    }
+    telemetry.tracer.setEnabled(true);
+    telemetry.audit.setEnabled(true);
+    if (telemetry.slo.objectiveCount() == 0) obs::installDefaultObjectives(telemetry.slo);
     if (const char* sample = std::getenv("ROIA_TRACE_SAMPLE")) {
       const long every = std::strtol(sample, nullptr, 10);
       if (every > 0) telemetry.traceTickSampleEvery = static_cast<std::size_t>(every);
@@ -65,68 +67,42 @@ class TelemetryScope {
 
   /// Writes the sidecars; idempotent, also runs at scope exit.
   void flush() {
-    if (!active_ || flushed_) return;
+    if (dir_.empty() || flushed_) return;
     flushed_ = true;
-    obs::Telemetry& telemetry = obs::Telemetry::global();
-    if (!traceOut_.empty()) {
-      std::ofstream out(traceOut_);
-      telemetry.tracer.writeJson(out);
-      std::fprintf(stderr, "telemetry: %zu trace events -> %s\n",
-                   telemetry.tracer.eventCount(), traceOut_.c_str());
+    const obs::Telemetry& telemetry = obs::Telemetry::global();
+    telemetry.tracer.writeJson(files_[kTrace]);
+    telemetry.metrics.writeJsonl(files_[kMetrics]);
+    telemetry.audit.writeJsonl(files_[kAudit]);
+    telemetry.slo.writeJsonl(files_[kSlo]);
+    telemetry.protocols.writeJsonl(files_[kSlo]);
+    telemetry.drift.writeJsonl(files_[kDrift]);
+    telemetry.flight.writeJsonl(files_[kFlight]);
+    for (std::size_t i = 0; i < kFileCount; ++i) {
+      files_[i].close();
+      if (!files_[i]) fail(dir_ / kFileNames[i], std::strerror(errno));
     }
-    if (!metricsOut_.empty()) {
-      std::ofstream out(metricsOut_);
-      if (metricsOut_.ends_with(".prom")) {
-        telemetry.metrics.writePrometheus(out);
-      } else if (metricsOut_.ends_with(".csv")) {
-        telemetry.metrics.writeCsv(out);
-      } else {
-        telemetry.metrics.writeJsonl(out);
-      }
-      std::fprintf(stderr, "telemetry: %zu metrics -> %s\n", telemetry.metrics.size(),
-                   metricsOut_.c_str());
-    }
-    if (!auditOut_.empty()) {
-      std::ofstream out(auditOut_);
-      telemetry.audit.writeJsonl(out);
-      std::fprintf(stderr, "telemetry: %zu audit records -> %s\n", telemetry.audit.size(),
-                   auditOut_.c_str());
-    }
-    if (!sloOut_.empty()) {
-      std::ofstream out(sloOut_);
-      telemetry.slo.writeJsonl(out);
-      telemetry.protocols.writeJsonl(out);
-      std::fprintf(stderr, "telemetry: %zu slo objectives, %zu breaches -> %s\n",
-                   telemetry.slo.objectiveCount(), telemetry.slo.breachCount(), sloOut_.c_str());
-    }
-    if (!driftOut_.empty()) {
-      std::ofstream out(driftOut_);
-      telemetry.drift.writeJsonl(out);
-      std::fprintf(stderr, "telemetry: %zu drift events -> %s\n",
-                   telemetry.drift.driftEventCount(), driftOut_.c_str());
-    }
-    if (!flightOut_.empty()) {
-      std::ofstream out(flightOut_);
-      telemetry.flight.writeJsonl(out);
-      std::fprintf(stderr, "telemetry: %zu flight dumps -> %s\n", telemetry.flight.dumpCount(),
-                   flightOut_.c_str());
-    }
+    std::fprintf(stderr,
+                 "telemetry: %zu trace events, %zu metrics, %zu audit records, "
+                 "%zu slo objectives, %zu breaches, %zu drift events, %zu flight dumps -> %s\n",
+                 telemetry.tracer.eventCount(), telemetry.metrics.size(),
+                 telemetry.audit.size(), telemetry.slo.objectiveCount(),
+                 telemetry.slo.breachCount(), telemetry.drift.driftEventCount(),
+                 telemetry.flight.dumpCount(), dir_.c_str());
   }
 
  private:
-  static std::string envString(const char* name) {
-    const char* value = std::getenv(name);
-    return value != nullptr ? std::string(value) : std::string();
+  enum File : std::size_t { kTrace, kMetrics, kAudit, kSlo, kDrift, kFlight, kFileCount };
+  static constexpr std::array<const char*, kFileCount> kFileNames = {
+      "trace.json", "metrics.jsonl", "audit.jsonl", "slo.jsonl", "drift.jsonl", "flight.jsonl"};
+
+  [[noreturn]] static void fail(const std::filesystem::path& path, const char* reason) {
+    std::fprintf(stderr, "telemetry: cannot write %s: %s\n", path.c_str(), reason);
+    std::exit(EXIT_FAILURE);
   }
 
-  bool active_{false};
+  std::filesystem::path dir_;
+  std::array<std::ofstream, kFileCount> files_;
   bool flushed_{false};
-  std::string traceOut_;
-  std::string metricsOut_;
-  std::string auditOut_;
-  std::string sloOut_;
-  std::string driftOut_;
-  std::string flightOut_;
 };
 
 /// Applies the ROIA_INTEREST environment override to an FpsConfig:

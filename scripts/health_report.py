@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Folds the telemetry sidecars of one run into a single health report.
 
-Consumes the files TelemetryScope writes (metrics JSONL, SLO+protocol
-summary JSONL, audit JSONL, drift JSONL, flight JSONL, optionally the
-Perfetto trace) and emits one Markdown document and/or one JSON object
-answering "how healthy was this run":
+Consumes the directory TelemetryScope fills when a bench runs with
+ROIA_TELEMETRY_DIR set (metrics, SLO+protocol summary, audit, drift, flight
+and trace files, named by validate_telemetry.FILES) and emits one Markdown
+document and/or one JSON object answering "how healthy was this run":
 
   * per-protocol end-to-end latency percentiles and outcome counts,
   * SLO compliance and burn rates per (objective, key), breach totals,
@@ -16,17 +16,14 @@ answering "how healthy was this run":
     `roia_lint.py --format json`) — every in-source allow() with its rule,
     justification, age, and whether it still suppresses a live finding.
 
-Stdlib only. Typical invocation (after a bench run with the ROIA_*_OUT
-knobs set):
+Stdlib only. Typical invocation (after a bench run with
+ROIA_TELEMETRY_DIR=build/chaos_telemetry):
 
-    python3 scripts/health_report.py --slo build/slo.jsonl \
-        --audit build/audit.jsonl --drift build/drift.jsonl \
-        --flight build/flight.jsonl --metrics build/metrics.jsonl \
+    python3 scripts/health_report.py build/chaos_telemetry \
         --out-md build/HEALTH.md --out-json build/HEALTH.json
 
-Every input is optional; the report covers whatever was given. Exit 0 on
-success (even an unhealthy run — the report is the product), 1 on unusable
-input.
+Exit 0 on success (even an unhealthy run — the report is the product), 1 on
+a missing or unusable input file.
 """
 
 import argparse
@@ -35,19 +32,11 @@ import os
 import sys
 from collections import Counter
 
-
-def load_jsonl(path):
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+from validate_telemetry import FILES, ValidationError, load_jsonl
 
 
 def split_slo_file(rows):
-    """ROIA_SLO_OUT holds objective rows and protocol rows in one file."""
+    """slo.jsonl holds objective rows and protocol rows in one file."""
     objectives = [r for r in rows if "objective" in r]
     protocols = [r for r in rows if "protocol" in r]
     return objectives, protocols
@@ -69,45 +58,33 @@ def summarize_flight(rows):
 
 
 def build_report(args):
-    report = {"schema": "roia-health-report/1", "inputs": {}, "status": "OK"}
+    paths = {kind: os.path.join(args.dir, name) for kind, name in FILES.items()}
+    report = {"schema": "roia-health-report/1", "inputs": paths, "status": "OK"}
 
-    protocols = []
-    if args.slo:
-        objectives, protocols = split_slo_file(load_jsonl(args.slo))
-        report["inputs"]["slo"] = args.slo
-        report["slo"] = objectives
-        report["breach_total"] = sum(r["breaches"] for r in objectives)
-    if args.metrics:
-        report["inputs"]["metrics"] = args.metrics
-        rows = load_jsonl(args.metrics)
-        report["protocol_metrics"] = [
-            r for r in rows if r.get("name", "").startswith("roia_protocol_")]
-        report["metric_count"] = len(rows)
+    objectives, protocols = split_slo_file(load_jsonl(paths["slo"]))
+    report["slo"] = objectives
+    report["breach_total"] = sum(r["breaches"] for r in objectives)
+    rows = load_jsonl(paths["metrics"])
+    report["protocol_metrics"] = [
+        r for r in rows if r.get("name", "").startswith("roia_protocol_")]
+    report["metric_count"] = len(rows)
     if protocols:
         report["protocols"] = protocols
-    if args.audit:
-        report["inputs"]["audit"] = args.audit
-        rows = load_jsonl(args.audit)
-        report["audit_actions"] = dict(sorted(Counter(
-            r.get("action", "?") for r in rows).items()))
-        report["slo_breaches"] = [
-            {"t_s": r["t_s"], "objective": r["threshold"].removeprefix("slo:"),
-             "eq2_state": r.get("inputs", {}), "rationale": r.get("rationale", "")}
-            for r in rows if r.get("action") == "slo_breach"]
-        report["drift_audits"] = [
-            {"t_s": r["t_s"], "eq2_state": r.get("inputs", {}),
-             "rationale": r.get("rationale", "")}
-            for r in rows if r.get("action") == "model_drift"]
-    if args.drift:
-        report["inputs"]["drift"] = args.drift
-        report["drift"] = load_jsonl(args.drift)
-    if args.flight:
-        report["inputs"]["flight"] = args.flight
-        report["flight_dumps"] = summarize_flight(load_jsonl(args.flight))
-    if args.trace:
-        report["inputs"]["trace"] = args.trace
-        with open(args.trace, encoding="utf-8") as f:
-            report["trace_event_count"] = len(json.load(f)["traceEvents"])
+    rows = load_jsonl(paths["audit"])
+    report["audit_actions"] = dict(sorted(Counter(
+        r.get("action", "?") for r in rows).items()))
+    report["slo_breaches"] = [
+        {"t_s": r["t_s"], "objective": r["threshold"].removeprefix("slo:"),
+         "eq2_state": r.get("inputs", {}), "rationale": r.get("rationale", "")}
+        for r in rows if r.get("action") == "slo_breach"]
+    report["drift_audits"] = [
+        {"t_s": r["t_s"], "eq2_state": r.get("inputs", {}),
+         "rationale": r.get("rationale", "")}
+        for r in rows if r.get("action") == "model_drift"]
+    report["drift"] = load_jsonl(paths["drift"])
+    report["flight_dumps"] = summarize_flight(load_jsonl(paths["flight"]))
+    with open(paths["trace"], encoding="utf-8") as f:
+        report["trace_event_count"] = len(json.load(f)["traceEvents"])
     if args.lint_debt:
         report["inputs"]["lint"] = args.lint_debt
         with open(args.lint_debt, encoding="utf-8") as f:
@@ -117,12 +94,9 @@ def build_report(args):
         report["lint_debt"] = lint.get("suppression_debt", [])
         report["lint_findings"] = len(lint.get("findings", []))
 
-    if not report["inputs"]:
-        return None
-    breaches = report.get("breach_total", 0)
-    drift_events = sum(r.get("drift_events", 0) for r in report.get("drift", []))
+    drift_events = sum(r.get("drift_events", 0) for r in report["drift"])
     stale_allows = sum(1 for r in report.get("lint_debt", []) if not r.get("live"))
-    if (breaches or drift_events or report.get("flight_dumps")
+    if (report["breach_total"] or drift_events or report["flight_dumps"]
             or report.get("lint_findings") or stale_allows):
         report["status"] = "ATTENTION"
     return report
@@ -152,57 +126,52 @@ def render_markdown(report):
               p["outcomes"]["crashed"], p["outcomes"]["deadline_expired"],
               p["open"]] for p in report["protocols"]]))
 
-    if "slo" in report:
-        lines.append(f"\n## SLO compliance — {report['breach_total']} breach(es)\n")
-        lines.append(md_table(
-            ["objective", "key", "bound", "threshold", "target", "samples",
-             "compliance", "short burn", "long burn", "breaches"],
-            [[r["objective"], r["key"], r["bound"], r["threshold"], r["target"],
-              r["samples"], r["compliance"], r["short_burn"], r["long_burn"],
-              r["breaches"]] for r in report["slo"]]))
+    lines.append(f"\n## SLO compliance — {report['breach_total']} breach(es)\n")
+    lines.append(md_table(
+        ["objective", "key", "bound", "threshold", "target", "samples",
+         "compliance", "short burn", "long burn", "breaches"],
+        [[r["objective"], r["key"], r["bound"], r["threshold"], r["target"],
+          r["samples"], r["compliance"], r["short_burn"], r["long_burn"],
+          r["breaches"]] for r in report["slo"]]))
 
-    if "audit_actions" in report:
-        lines.append("\n## Audit events by action\n")
-        lines.append(md_table(["action", "count"],
-                              sorted(report["audit_actions"].items())))
-        if report.get("slo_breaches"):
-            lines.append("\n### SLO breaches (objective + Eq.2 state at breach)\n")
-            for b in report["slo_breaches"]:
-                eq2 = b["eq2_state"]
-                lines.append(
-                    f"- t={b['t_s']}s **{b['objective']}** — "
-                    f"n={eq2.get('n')}, m={eq2.get('m')}, l={eq2.get('l')}, "
-                    f"predicted={eq2.get('tick_predicted_ms')}ms; {b['rationale']}")
-        if report.get("drift_audits"):
-            lines.append("\n### Model-drift events\n")
-            for d in report["drift_audits"]:
-                lines.append(f"- t={d['t_s']}s — {d['rationale']}")
+    lines.append("\n## Audit events by action\n")
+    lines.append(md_table(["action", "count"],
+                          sorted(report["audit_actions"].items())))
+    if report.get("slo_breaches"):
+        lines.append("\n### SLO breaches (objective + Eq.2 state at breach)\n")
+        for b in report["slo_breaches"]:
+            eq2 = b["eq2_state"]
+            lines.append(
+                f"- t={b['t_s']}s **{b['objective']}** — "
+                f"n={eq2.get('n')}, m={eq2.get('m')}, l={eq2.get('l')}, "
+                f"predicted={eq2.get('tick_predicted_ms')}ms; {b['rationale']}")
+    if report.get("drift_audits"):
+        lines.append("\n### Model-drift events\n")
+        for d in report["drift_audits"]:
+            lines.append(f"- t={d['t_s']}s — {d['rationale']}")
 
-    if "drift" in report:
-        lines.append("\n## Eq.2/Eq.4 residuals per server\n")
-        lines.append(md_table(
-            ["key", "samples", "mean residual ms", "CoV", "|res| p50",
-             "|res| p95", "|res| p99", "drift events"],
-            [[r["key"], r["count"], r["mean_residual_ms"], r["cov"],
-              r["abs_residual_p50_ms"], r["abs_residual_p95_ms"],
-              r["abs_residual_p99_ms"], r["drift_events"]]
-             for r in report["drift"]]))
+    lines.append("\n## Eq.2/Eq.4 residuals per server\n")
+    lines.append(md_table(
+        ["key", "samples", "mean residual ms", "CoV", "|res| p50",
+         "|res| p95", "|res| p99", "drift events"],
+        [[r["key"], r["count"], r["mean_residual_ms"], r["cov"],
+          r["abs_residual_p50_ms"], r["abs_residual_p95_ms"],
+          r["abs_residual_p99_ms"], r["drift_events"]]
+         for r in report["drift"]]))
 
-    if "flight_dumps" in report:
-        lines.append(f"\n## Flight-recorder dumps ({len(report['flight_dumps'])})\n")
-        lines.append(md_table(
-            ["dump", "reason", "at s", "frames", "keys"],
-            [[d["dump"], d["reason"], d["at_s"], d["frames"],
-              " ".join(d["keys"])] for d in report["flight_dumps"]]))
+    lines.append(f"\n## Flight-recorder dumps ({len(report['flight_dumps'])})\n")
+    lines.append(md_table(
+        ["dump", "reason", "at s", "frames", "keys"],
+        [[d["dump"], d["reason"], d["at_s"], d["frames"],
+          " ".join(d["keys"])] for d in report["flight_dumps"]]))
 
-    if "protocol_metrics" in report:
-        lines.append("\n## Protocol metric instruments\n")
-        lines.append(md_table(
-            ["name", "labels", "value/count"],
-            [[m["name"],
-              " ".join(f"{k}={v}" for k, v in sorted(m.get("labels", {}).items())),
-              m.get("value", m.get("count", ""))]
-             for m in report["protocol_metrics"]]))
+    lines.append("\n## Protocol metric instruments\n")
+    lines.append(md_table(
+        ["name", "labels", "value/count"],
+        [[m["name"],
+          " ".join(f"{k}={v}" for k, v in sorted(m.get("labels", {}).items())),
+          m.get("value", m.get("count", ""))]
+         for m in report["protocol_metrics"]]))
 
     if "lint_debt" in report:
         debt = report["lint_debt"]
@@ -220,19 +189,13 @@ def render_markdown(report):
             lines.append("No in-source suppressions: the tree carries zero "
                          "lint debt.\n")
 
-    if "trace_event_count" in report:
-        lines.append(f"\nTrace: {report['trace_event_count']} events.\n")
+    lines.append(f"\nTrace: {report['trace_event_count']} events.\n")
     return "\n".join(lines) + "\n"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--metrics", help="metrics JSONL (ROIA_METRICS_OUT)")
-    parser.add_argument("--slo", help="SLO + protocol JSONL (ROIA_SLO_OUT)")
-    parser.add_argument("--audit", help="audit JSONL (ROIA_AUDIT_OUT)")
-    parser.add_argument("--drift", help="drift JSONL (ROIA_DRIFT_OUT)")
-    parser.add_argument("--flight", help="flight JSONL (ROIA_FLIGHT_OUT)")
-    parser.add_argument("--trace", help="Perfetto trace JSON (ROIA_TRACE_OUT)")
+    parser.add_argument("dir", help="telemetry directory (ROIA_TELEMETRY_DIR)")
     parser.add_argument("--lint-debt", metavar="LINT_JSON",
                         help="roia_lint.py --format json output; folds the "
                              "suppression-debt table into the report")
@@ -242,12 +205,9 @@ def main():
 
     try:
         report = build_report(args)
-    except (OSError, json.JSONDecodeError, KeyError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, ValidationError) as err:
         print(f"ERROR: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    if report is None:
-        parser.error("no inputs given (pass at least one of "
-                     "--metrics/--slo/--audit/--drift/--flight/--trace)")
 
     markdown = render_markdown(report)
     if args.out_json:

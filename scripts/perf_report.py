@@ -11,7 +11,7 @@ Collects two kinds of wall-clock evidence from a built tree:
     asserts the two runs produced byte-identical stdout (the determinism
     contract of the sweep engine).
  3. telemetry overhead (--obs-overhead BENCH...) — runs each named harness
-    with all telemetry sidecars off and then on (every ROIA_*_OUT knob set),
+    with all telemetry sidecars off and then on (ROIA_TELEMETRY_DIR set),
     asserts the two runs produced byte-identical stdout (the zero-cost-
     observer contract), and records the wall-clock ratio into
     BENCH_obs_overhead.json. --max-overhead-ratio gates on it.
@@ -60,11 +60,9 @@ class DeterminismError(RuntimeError):
 
 
 # Every environment knob bench_common.hpp's TelemetryScope reads; the "off"
-# leg strips them all, the "on" leg sets every sidecar output.
-OBS_ENV_KNOBS = (
-    "ROIA_TRACE_OUT", "ROIA_METRICS_OUT", "ROIA_AUDIT_OUT", "ROIA_SLO_OUT",
-    "ROIA_DRIFT_OUT", "ROIA_FLIGHT_OUT", "ROIA_TRACE_SAMPLE",
-)
+# leg strips them all, the "on" leg points the sidecar directory at the
+# build tree.
+OBS_ENV_KNOBS = ("ROIA_TELEMETRY_DIR", "ROIA_TRACE_SAMPLE")
 
 
 def run_obs_overhead(build_dir: str, bench: str, repetitions: int = 3) -> dict:
@@ -76,20 +74,9 @@ def run_obs_overhead(build_dir: str, bench: str, repetitions: int = 3) -> dict:
     mismatch aborts the report the same way a sweep determinism break does.
     """
     binary = os.path.join(build_dir, "bench", bench)
-    sidecar_dir = os.path.join(build_dir, f"obs_overhead_{bench}")
-    os.makedirs(sidecar_dir, exist_ok=True)
-
     off_env = {k: v for k, v in os.environ.items() if k not in OBS_ENV_KNOBS}
     off_env["ROIA_BENCH_THREADS"] = "1"
-    on_env = dict(off_env)
-    on_env.update({
-        "ROIA_TRACE_OUT": os.path.join(sidecar_dir, "trace.json"),
-        "ROIA_METRICS_OUT": os.path.join(sidecar_dir, "metrics.jsonl"),
-        "ROIA_AUDIT_OUT": os.path.join(sidecar_dir, "audit.jsonl"),
-        "ROIA_SLO_OUT": os.path.join(sidecar_dir, "slo.jsonl"),
-        "ROIA_DRIFT_OUT": os.path.join(sidecar_dir, "drift.jsonl"),
-        "ROIA_FLIGHT_OUT": os.path.join(sidecar_dir, "flight.jsonl"),
-    })
+    on_env = dict(off_env, ROIA_TELEMETRY_DIR=os.path.join(build_dir, f"obs_overhead_{bench}"))
 
     def timed(env):
         best, out = None, None

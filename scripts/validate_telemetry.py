@@ -1,37 +1,49 @@
 #!/usr/bin/env python3
 """Lightweight schema checks for the telemetry sidecar files.
 
-Validates, without any third-party dependency, the artifacts the bench
-harnesses emit through bench_common.hpp's TelemetryScope:
+Validates, without any third-party dependency, the directory a bench
+harness fills when run with ROIA_TELEMETRY_DIR set (bench_common.hpp's
+TelemetryScope). FILES below is the one table of its fixed file names;
+health_report.py imports it together with load_jsonl.
 
-  trace   Chrome/Perfetto trace-event JSON: a {"traceEvents": [...]} object,
-          non-decreasing "ts", matched B/E span pairs per (pid, tid).
-  slo     SLO + protocol summary JSONL (ROIA_SLO_OUT): objective rows carry
-          objective/key/bound/compliance/breaches, protocol rows carry
-          protocol/count/p50_ms/p95_ms/p99_ms/outcomes/open.
-  drift   model-drift residual JSONL (ROIA_DRIFT_OUT): per-key residual
-          moments, CoV and quantiles, all finite.
-  flight  flight-recorder JSONL (ROIA_FLIGHT_OUT): frames grouped into
-          dumps with non-decreasing tick per (dump, key).
-  audit   RMS/server audit JSONL (ROIA_AUDIT_OUT): t_s/action/strategy/
-          threshold/rationale on every record.
+  trace.json     Chrome/Perfetto trace-event JSON: a {"traceEvents": [...]}
+                 object, non-decreasing "ts", matched B/E span pairs per
+                 (pid, tid).
+  audit.jsonl    RMS/server audit records: t_s/action/strategy/threshold/
+                 rationale on every record.
+  slo.jsonl      SLO + protocol summary: objective rows carry
+                 objective/key/bound/compliance/breaches, protocol rows carry
+                 protocol/count/p50_ms/p95_ms/p99_ms/outcomes/open.
+  drift.jsonl    model-drift residuals: per-key moments, CoV and quantiles,
+                 all finite.
+  flight.jsonl   flight-recorder frames grouped into dumps with
+                 non-decreasing tick per (dump, key).
 
 Usage:
 
-    python3 scripts/validate_telemetry.py --trace build/trace.json \
-        --slo build/slo.jsonl --drift build/drift.jsonl \
-        --flight build/flight.jsonl --audit build/audit.jsonl
+    python3 scripts/validate_telemetry.py build/fig8_telemetry
 
-Missing-file and empty-file handling is strict: a named file must exist and
-contain at least one record unless the flag is prefixed optional: (e.g.
-`--flight optional:build/flight.jsonl` — a run with no breach legitimately
-dumps nothing). Exit 0 clean, 1 on any violation.
+Every file above must exist. trace, audit and slo must hold at least one
+record; drift and flight may be empty (a run without model predictions or
+breaches legitimately records nothing). metrics.jsonl is listed in FILES
+for health_report.py but not checked here. Exit 0 clean, 1 on any
+violation.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
+
+FILES = {
+    "trace": "trace.json",
+    "metrics": "metrics.jsonl",
+    "audit": "audit.jsonl",
+    "slo": "slo.jsonl",
+    "drift": "drift.jsonl",
+    "flight": "flight.jsonl",
+}
 
 
 class ValidationError(Exception):
@@ -134,8 +146,6 @@ def validate_slo(path):
 
 def validate_drift(path):
     rows = load_jsonl(path)
-    if not rows:
-        fail(path, "no records")
     for row in rows:
         require_keys(path, row,
                      ("key", "count", "mean_residual_ms", "mean_measured_ms",
@@ -151,8 +161,6 @@ def validate_drift(path):
 
 def validate_flight(path):
     rows = load_jsonl(path)
-    if not rows:
-        fail(path, "no records")
     last_tick = {}
     for row in rows:
         require_keys(path, row, ("dump", "reason", "dump_t_s", "key", "tick",
@@ -186,36 +194,19 @@ VALIDATORS = {
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    for kind in VALIDATORS:
-        parser.add_argument(f"--{kind}", action="append", default=[],
-                            metavar="PATH",
-                            help=f"{kind} file to validate "
-                                 "(prefix optional: to allow a missing/empty file)")
+    parser.add_argument("dir", help="telemetry directory (ROIA_TELEMETRY_DIR)")
     args = parser.parse_args()
 
-    jobs = [(kind, path) for kind in VALIDATORS
-            for path in getattr(args, kind)]
-    if not jobs:
-        parser.error("nothing to validate (pass --trace/--slo/--drift/--flight/--audit)")
-
     failures = 0
-    for kind, path in jobs:
-        optional = path.startswith("optional:")
-        if optional:
-            path = path[len("optional:"):]
+    for kind, validate in VALIDATORS.items():
+        path = os.path.join(args.dir, FILES[kind])
         try:
-            summary = VALIDATORS[kind](path)
+            summary = validate(path)
         except FileNotFoundError:
-            if optional:
-                print(f"{path}: absent (optional {kind}) — skipped")
-                continue
             print(f"FAIL {path}: file not found", file=sys.stderr)
             failures += 1
             continue
         except ValidationError as err:
-            if optional and str(err).endswith("no records"):
-                print(f"{path}: empty (optional {kind}) — skipped")
-                continue
             print(f"FAIL {err}", file=sys.stderr)
             failures += 1
             continue

@@ -159,34 +159,7 @@ const LogHistogram* MetricsRegistry::findHistogram(std::string_view name,
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
-std::string formatLabels(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += k;
-    out += "=\"";
-    out += v;
-    out += "\"";
-  }
-  out.push_back('}');
-  return out;
-}
-
 namespace {
-
-constexpr double kSummaryQuantiles[] = {0.5, 0.95, 0.99};
-
-std::string withQuantileLabel(const Labels& labels, double q) {
-  Labels extended = labels;
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%g", q);
-  extended.emplace_back("quantile", buf);
-  std::sort(extended.begin(), extended.end());
-  return formatLabels(extended);
-}
 
 std::string labelsAsJson(const Labels& labels) {
   std::string out = "{";
@@ -202,52 +175,7 @@ std::string labelsAsJson(const Labels& labels) {
   return out;
 }
 
-// CSV label cell: k=v pairs joined by ';' (never contains commas).
-std::string labelsAsCsv(const Labels& labels) {
-  std::string out;
-  for (const auto& [k, v] : labels) {
-    if (!out.empty()) out.push_back(';');
-    out += k;
-    out.push_back('=');
-    out += v;
-  }
-  return out;
-}
-
 }  // namespace
-
-void MetricsRegistry::writePrometheus(std::ostream& out) const {
-  std::string_view lastName;
-  for (const auto& [key, c] : counters_) {
-    if (key.name != lastName) {
-      out << "# TYPE " << key.name << " counter\n";
-      lastName = key.name;
-    }
-    out << key.name << formatLabels(key.labels) << ' ' << c->value() << '\n';
-  }
-  lastName = {};
-  for (const auto& [key, g] : gauges_) {
-    if (key.name != lastName) {
-      out << "# TYPE " << key.name << " gauge\n";
-      lastName = key.name;
-    }
-    out << key.name << formatLabels(key.labels) << ' ' << g->value() << '\n';
-  }
-  lastName = {};
-  for (const auto& [key, h] : histograms_) {
-    if (key.name != lastName) {
-      out << "# TYPE " << key.name << " summary\n";
-      lastName = key.name;
-    }
-    for (const double q : kSummaryQuantiles) {
-      out << key.name << withQuantileLabel(key.labels, q) << ' ' << h->quantile(q) << '\n';
-    }
-    out << key.name << "_count" << formatLabels(key.labels) << ' ' << h->count() << '\n';
-    out << key.name << "_sum" << formatLabels(key.labels) << ' ' << h->sum() << '\n';
-    out << key.name << "_min" << formatLabels(key.labels) << ' ' << h->min() << '\n';
-    out << key.name << "_max" << formatLabels(key.labels) << ' ' << h->max() << '\n';
-  }
-}
 
 void MetricsRegistry::writeJsonl(std::ostream& out) const {
   std::string line;
@@ -290,29 +218,6 @@ void MetricsRegistry::writeJsonl(std::ostream& out) const {
       l += ",\"p99\":";
       appendJsonNumber(l, h->quantile(0.99));
     });
-  }
-}
-
-void MetricsRegistry::writeCsv(std::ostream& out) const {
-  out << "kind,name,labels,field,value\n";
-  for (const auto& [key, c] : counters_) {
-    out << "counter," << key.name << ',' << labelsAsCsv(key.labels) << ",value," << c->value()
-        << '\n';
-  }
-  for (const auto& [key, g] : gauges_) {
-    out << "gauge," << key.name << ',' << labelsAsCsv(key.labels) << ",value," << g->value()
-        << '\n';
-  }
-  for (const auto& [key, h] : histograms_) {
-    const std::string prefix =
-        "histogram," + key.name + ',' + labelsAsCsv(key.labels) + ',';
-    out << prefix << "count," << h->count() << '\n';
-    out << prefix << "sum," << h->sum() << '\n';
-    out << prefix << "min," << h->min() << '\n';
-    out << prefix << "max," << h->max() << '\n';
-    out << prefix << "p50," << h->quantile(0.5) << '\n';
-    out << prefix << "p95," << h->quantile(0.95) << '\n';
-    out << prefix << "p99," << h->quantile(0.99) << '\n';
   }
 }
 

@@ -1,10 +1,10 @@
 // Metrics registry: the process-wide (or per-experiment) catalogue of
 // counters, gauges and log-bucketed histograms, registered by name + labels.
 // Servers, the reliable transport, the fault injector and the monitoring
-// collector all publish into one registry, and the exporters (Prometheus
-// text, JSONL, CSV) turn it into the machine-readable sidecar every bench
-// emits. Instruments have stable addresses once registered, so hot paths
-// can cache pointers and skip the name lookup.
+// collector all publish into one registry, and the JSONL exporter turns it
+// into the machine-readable sidecar every bench emits. Instruments have
+// stable addresses once registered, so hot paths can cache pointers and skip
+// the name lookup.
 #pragma once
 
 #include <cstdint>
@@ -132,13 +132,8 @@ class MetricsRegistry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  // --- exporters ---
-  /// Prometheus text exposition (histograms as summaries with p50/p95/p99).
-  void writePrometheus(std::ostream& out) const;
-  /// One JSON object per instrument per line.
+  /// One JSON object per instrument per line (histograms with p50/p95/p99).
   void writeJsonl(std::ostream& out) const;
-  /// kind,name,labels,field,value rows.
-  void writeCsv(std::ostream& out) const;
 
  private:
   struct Key {
@@ -154,8 +149,5 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<LogHistogram>> histograms_;
 };
-
-/// Renders labels as {k="v",k2="v2"}; empty labels render as "".
-[[nodiscard]] std::string formatLabels(const Labels& labels);
 
 }  // namespace roia::obs

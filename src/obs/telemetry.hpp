@@ -6,8 +6,9 @@
 // simulated CPU cost — telemetry observes the experiment, it is not part
 // of it.
 //
-// Benches use the process-global instance (activated from the ROIA_*_OUT
-// environment knobs); tests construct their own to stay isolated.
+// Benches use the process-global instance (activated by the
+// ROIA_TELEMETRY_DIR environment knob); tests construct their own to stay
+// isolated.
 #pragma once
 
 #include <cstddef>
