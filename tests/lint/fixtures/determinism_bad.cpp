@@ -24,3 +24,6 @@ unsigned hardwareEntropy() {
   std::random_device dev;
   return dev();
 }
+
+// Outside every function body, and still reported.
+static std::mt19937 fileScopeGen;

@@ -2,5 +2,5 @@
 #include <cstdlib>
 
 int fixtureNoise() {
-  return rand();  // roia-lint: allow(determinism) -- fixture: demonstrates a justified suppression
+  return rand();  // roia-lint: allow(determinism-taint) -- fixture: demonstrates a justified suppression
 }

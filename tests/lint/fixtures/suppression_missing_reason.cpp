@@ -3,5 +3,5 @@
 #include <cstdlib>
 
 int fixtureNoiseUnjustified() {
-  return rand();  // roia-lint: allow(determinism)
+  return rand();  // roia-lint: allow(determinism-taint)
 }

@@ -1,7 +1,7 @@
-// Fixture: the hot root is allocation-free itself, so the line-local
-// hot-path-alloc rule sees nothing; the allocation hides two calls deep
-// in a different TU (chain_helpers.cpp). Only the whole-program
-// transitive-hot-alloc rule can catch it. Never compiled.
+// Fixture: the hot root is allocation-free itself, so its own body yields
+// nothing; the allocation hides two calls deep in a different TU
+// (chain_helpers.cpp), where only the call graph can connect it to this
+// root. Never compiled.
 #include "chain_helpers.hpp"
 
 // roia-hot

@@ -1,8 +1,8 @@
 // Fixture: hardware entropy drawn two frames below the encode path. The
-// line-local determinism rule sees only the std::random_device line; the
-// determinism-taint rule must additionally report the full
-// entropy -> jitterSeed -> encodeBeacon source-to-sink chain. Never
-// compiled.
+// std::random_device line is a hard source, reported exactly once under
+// determinism-taint; since it reaches a sink, that one finding must carry
+// the full entropy -> jitterSeed -> encodeBeacon source-to-sink chain.
+// Never compiled.
 #include <cstdint>
 #include <random>
 

@@ -4,5 +4,5 @@
 #include <cstdlib>
 
 int fixtureNoise() {
-  return rand();  // roia-lint: allow(determinism) -- fixture: justified and still live
+  return rand();  // roia-lint: allow(determinism-taint) -- fixture: justified and still live
 }

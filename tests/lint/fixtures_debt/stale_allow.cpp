@@ -3,5 +3,5 @@
 // the stale allow at its own line. Never compiled.
 
 int cleanNow() {
-  return 7;  // roia-lint: allow(determinism) -- stale: the rand() here is long gone
+  return 7;  // roia-lint: allow(determinism-taint) -- stale: the rand() here is long gone
 }

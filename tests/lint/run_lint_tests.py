@@ -2,13 +2,15 @@
 """Self-test for tools/lint/roia_lint.py + cpp_index.py, run as `ctest -L lint`.
 
 Checks:
- 1. The line-local fixture suite produces exactly the expected
-    (file, line, rule) findings — no more, no fewer — and the justified
-    suppression lands in the suppressed list, via the JSON output.
+ 1. The fixture suite produces exactly the expected (file, line, rule)
+    findings — no more, no fewer, no line reported twice by one rule
+    except where two allocations share it — and the justified suppression
+    lands in the suppressed list, via the JSON output. An allow() naming
+    a retired rule is a bad-suppression; a dangling `// roia-hot` is a
+    transitive-hot-alloc finding.
  2. The call-graph fixture tree fires transitive-hot-alloc and
-    determinism-taint with exact lines AND the exact source -> sink /
-    hot-root -> callee chains — cross-TU cases the line-local rules
-    provably cannot see.
+    determinism-taint once per site, with exact lines AND the exact
+    source -> sink / hot-root -> callee chains across TUs.
  3. The wire fixture tree drifts from its committed drifted manifest in
     all five ways (field removed, type changed, struct added, struct
     retired, schema reordered); regenerating the manifest makes the same
@@ -21,11 +23,15 @@ Checks:
  6. The cpp_index unit fixture parses namespaces, classes, out-of-line
     methods, overload sets, templates and ctors with init lists, with
     correct qualnames, hot flags, facts and call edges.
- 7. The real tree (src/) is clean under ALL rules: exit 0, zero findings.
- 8. --format sarif emits valid SARIF 2.1.0; --changed-only exits cleanly.
- 9. --list-rules names every rule the fixtures exercise.
+ 7. The real tree (src/) is clean under ALL rules: exit 0, zero findings,
+    and every `// roia-hot` annotation marks exactly one indexed function.
+ 8. --format sarif emits valid SARIF 2.1.0 with one result per finding;
+    --changed-only exits cleanly.
+ 9. --list-rules and the SARIF rule metadata name exactly the rule
+    catalogue; selecting a retired rule is a usage error.
 """
 
+import collections
 import json
 import os
 import shutil
@@ -50,37 +56,42 @@ import cpp_index  # noqa: E402
 EXPECTED_FINDINGS = {
     ("audit_vocab_bad.cpp", 9, "audit-vocabulary"),
     ("audit_vocab_bad.cpp", 10, "audit-vocabulary"),
-    ("determinism_bad.cpp", 9, "determinism"),
-    ("determinism_bad.cpp", 14, "determinism"),
-    ("determinism_bad.cpp", 15, "determinism"),
-    ("determinism_bad.cpp", 20, "determinism"),
-    ("determinism_bad.cpp", 24, "determinism"),
+    ("determinism_bad.cpp", 9, "determinism-taint"),
+    ("determinism_bad.cpp", 14, "determinism-taint"),
+    ("determinism_bad.cpp", 15, "determinism-taint"),
+    ("determinism_bad.cpp", 20, "determinism-taint"),
+    ("determinism_bad.cpp", 24, "determinism-taint"),
+    ("determinism_bad.cpp", 29, "determinism-taint"),  # file scope
     ("bounded_retry_bad.cpp", 10, "bounded-retry"),
     ("bounded_retry_bad.cpp", 17, "bounded-retry"),
     ("bounded_retry_bad.cpp", 24, "bounded-retry"),
-    ("hot_alloc_bad.cpp", 7, "hot-path-alloc"),
-    ("hot_alloc_bad.cpp", 8, "hot-path-alloc"),  # std::string
-    ("hot_alloc_bad.cpp", 8, "hot-path-alloc"),  # std::to_string (dedup'd in set)
-    ("hot_alloc_bad.cpp", 9, "hot-path-alloc"),
+    ("hot_alloc_bad.cpp", 7, "transitive-hot-alloc"),
+    ("hot_alloc_bad.cpp", 8, "transitive-hot-alloc"),  # std::string
+    ("hot_alloc_bad.cpp", 8, "transitive-hot-alloc"),  # std::to_string (dedup'd in set)
+    ("hot_alloc_bad.cpp", 9, "transitive-hot-alloc"),
+    ("hot_alloc_bad.cpp", 9, "bad-suppression"),       # allow() names a retired rule
+    ("hot_alloc_bad.cpp", 18, "transitive-hot-alloc"),  # dangling // roia-hot
     ("messages.hpp", 13, "serialization-coverage"),
     ("entity.hpp", 13, "serialization-coverage"),   # EntitySnapshot.vx
     ("entity.hpp", 14, "serialization-coverage"),   # EntitySnapshot.health
     ("ordered_iteration_bad.cpp", 10, "ordered-iteration"),
     ("suppression_missing_reason.cpp", 6, "bad-suppression"),
-    ("suppression_missing_reason.cpp", 6, "determinism"),
+    ("suppression_missing_reason.cpp", 6, "determinism-taint"),
 }
+# The one line a rule may report twice: std::string + std::to_string.
+EXPECTED_DOUBLE_HITS = {("hot_alloc_bad.cpp", 8, "transitive-hot-alloc"): 2}
 EXPECTED_SUPPRESSED = {
-    ("suppressed_ok.cpp", 5, "determinism"),
+    ("suppressed_ok.cpp", 5, "determinism-taint"),
 }
 
-# Cross-function cases: the line-local rules see at most the source line;
-# the chains below only exist in the whole-program call graph.
+# Cross-function cases: the chains below only exist in the whole-program
+# call graph. ordered-iteration still fires on the unordered loop because
+# its scope is the whole output-feeding file, not a source -> sink flow.
 EXPECTED_CALLGRAPH_FINDINGS = {
     ("chain_helpers.cpp", 14, "transitive-hot-alloc"),
-    ("taint_chain.cpp", 14, "determinism"),           # line-local still fires
     ("taint_chain.cpp", 14, "determinism-taint"),
     ("taint_unordered.cpp", 17, "determinism-taint"),
-    ("taint_unordered.cpp", 17, "ordered-iteration"),  # line-local still fires
+    ("taint_unordered.cpp", 17, "ordered-iteration"),
 }
 EXPECTED_CHAINS = {
     "transitive-hot-alloc": "hotRoot -> midHelper -> leafAlloc",
@@ -100,14 +111,13 @@ EXPECTED_DEBT_FINDINGS = {
     ("stale_allow.cpp", 6, "suppression-debt"),
 }
 EXPECTED_DEBT_SUPPRESSED = {
-    ("live_allow.cpp", 7, "determinism"),
+    ("live_allow.cpp", 7, "determinism-taint"),
 }
 
 EXPECTED_RULES = {
-    "determinism", "ordered-iteration", "serialization-coverage",
-    "hot-path-alloc", "bounded-retry", "audit-vocabulary", "bad-suppression",
-    "transitive-hot-alloc", "determinism-taint", "wire-schema-drift",
-    "suppression-debt",
+    "ordered-iteration", "serialization-coverage", "bounded-retry",
+    "audit-vocabulary", "bad-suppression", "transitive-hot-alloc",
+    "determinism-taint", "wire-schema-drift", "suppression-debt",
 }
 
 
@@ -134,11 +144,14 @@ def check_line_local_fixtures(failures):
             "fixtures: findings mismatch\n"
             f"  missing:    {sorted(EXPECTED_FINDINGS - got)}\n"
             f"  unexpected: {sorted(got - EXPECTED_FINDINGS)}")
-    # The std::string + std::to_string double hit on line 8 must both exist.
-    line8 = [f for f in report["findings"]
-             if os.path.basename(f["file"]) == "hot_alloc_bad.cpp" and f["line"] == 8]
-    if len(line8) != 2:
-        failures.append(f"fixtures: expected 2 findings on hot_alloc_bad.cpp:8, got {len(line8)}")
+    # One finding per site: only the std::string + std::to_string line may
+    # repeat a (file, line, rule) key, and it must.
+    counts = collections.Counter(
+        (os.path.basename(f["file"]), f["line"], f["rule"]) for f in report["findings"])
+    doubles = {key: n for key, n in counts.items() if n > 1}
+    if doubles != EXPECTED_DOUBLE_HITS:
+        failures.append(f"fixtures: repeated findings {doubles}, expected "
+                        f"{EXPECTED_DOUBLE_HITS}")
     if as_keys(report["suppressed"]) != EXPECTED_SUPPRESSED:
         failures.append(f"fixtures: suppressed mismatch: {report['suppressed']}")
 
@@ -150,11 +163,12 @@ def check_callgraph_fixtures(failures):
         return
     report = json.loads(proc.stdout)
     got = as_keys(report["findings"])
-    if got != EXPECTED_CALLGRAPH_FINDINGS:
+    if got != EXPECTED_CALLGRAPH_FINDINGS or len(report["findings"]) != len(got):
         failures.append(
             "callgraph: findings mismatch\n"
             f"  missing:    {sorted(EXPECTED_CALLGRAPH_FINDINGS - got)}\n"
-            f"  unexpected: {sorted(got - EXPECTED_CALLGRAPH_FINDINGS)}")
+            f"  unexpected: {sorted(got - EXPECTED_CALLGRAPH_FINDINGS)}\n"
+            f"  reported:   {len(report['findings'])} for {len(got)} sites")
     for f in report["findings"]:
         base = os.path.basename(f["file"])
         if f["rule"] == "transitive-hot-alloc":
@@ -259,7 +273,7 @@ def check_debt_fixtures(failures):
     if not (live["live"] is True and stale["live"] is False):
         failures.append(f"debt: liveness wrong: {live} / {stale}")
     for row in (live, stale):
-        if row["rules"] != ["determinism"] or not row["reason"] or "age_days" not in row:
+        if row["rules"] != ["determinism-taint"] or not row["reason"] or "age_days" not in row:
             failures.append(f"debt: malformed table row: {row}")
 
 
@@ -315,6 +329,19 @@ def check_real_tree(failures):
         failures.append(f"src/: suspiciously few files scanned: {report['files_scanned']}")
     if report["suppression_debt"]:
         failures.append(f"src/: unexpected suppression debt: {report['suppression_debt']}")
+    # Every // roia-hot must mark exactly one indexed function: none may
+    # dangle, and as each attaches to at most one, equal counts rule out a
+    # function carrying two.
+    src_files = [os.path.join(root, name)
+                 for root, _dirs, names in os.walk(os.path.join(REPO_ROOT, "src"))
+                 for name in names if name.endswith(cpp_index.CPP_EXTENSIONS)]
+    index = cpp_index.build_index(src_files)
+    annotations = sum(len(cpp_index.HOT_RE.findall(raw)) for raw in index.raw.values())
+    hot = [fn for fn in index.functions if fn.hot]
+    dangling = {path: lines for path, lines in index.stray_hot.items() if lines}
+    if not hot or dangling or len(hot) != annotations:
+        failures.append(f"src/: {annotations} // roia-hot annotations vs "
+                        f"{len(hot)} hot functions; dangling: {dangling}")
 
 
 def check_output_modes(failures):
@@ -332,8 +359,9 @@ def check_output_modes(failures):
     if driver.get("name") != "roia-lint":
         failures.append(f"sarif: wrong driver name {driver.get('name')!r}")
     rule_ids = {r["id"] for r in driver["rules"]}
-    if not EXPECTED_RULES <= rule_ids:
-        failures.append(f"sarif: rules metadata missing {EXPECTED_RULES - rule_ids}")
+    if rule_ids != EXPECTED_RULES:
+        failures.append(f"sarif: rules metadata {sorted(rule_ids)} != "
+                        f"{sorted(EXPECTED_RULES)}")
     # +1: the hot_alloc_bad.cpp:8 double hit dedups in the expectation set.
     if len(run["results"]) != len(EXPECTED_FINDINGS) + 1:
         failures.append(
@@ -352,9 +380,14 @@ def check_output_modes(failures):
 
 def check_rule_catalogue(failures):
     proc = run_lint("--list-rules")
-    listed = {line.split()[0] for line in proc.stdout.splitlines() if line.strip()}
-    if not EXPECTED_RULES <= listed:
-        failures.append(f"--list-rules missing {EXPECTED_RULES - listed}")
+    listed = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
+    if len(listed) != len(EXPECTED_RULES) or set(listed) != EXPECTED_RULES:
+        failures.append(f"--list-rules lists {listed}, expected {sorted(EXPECTED_RULES)}")
+    for retired in ("determinism", "hot-path-alloc"):
+        proc = run_lint("--rules", retired, "src/")
+        if proc.returncode != 2:
+            failures.append(f"--rules {retired}: expected usage error (exit 2), "
+                            f"got {proc.returncode}")
 
 
 def main():

@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
-"""cpp_index: a lightweight whole-program C++ indexer for roia-lint.
+"""cpp_index: roia-lint's one lexer and whole-program C++ indexer.
 
-roia-lint's original rules are line-local: they can see a banned construct
-only on the statement where it appears. The repo's invariants, however, are
-*path* properties — "no allocation reachable from a hot function", "no
-nondeterministic value flowing into an encode path" — so this module gives
-the linter the missing half: a brace-parsed index of every function and
-method under the scanned tree, the calls between them (cross-TU, resolved
-by name with class/qualifier narrowing), and per-function facts the rules
+The repo's invariants are *path* properties — "no allocation reachable
+from a hot function", "no nondeterministic value flowing into an encode
+path" — so this module gives the linter the comment/literal masker every
+rule scans through, plus a brace-parsed index of every function and method
+under the scanned tree, the calls between them (cross-TU, resolved by name
+with class/qualifier narrowing), and per-function facts the rules
 propagate along the call graph:
 
   * allocates          operator new / std::string / std::to_string /
                        std::vector construction
-  * nondeterminism     rand()/random_device/unseeded mt19937, wall clocks,
-                       range-for over unordered containers, pointer-keyed
-                       ordered containers
+  * nondeterminism     hard: rand()/random_device/unseeded mt19937,
+                       system_clock, time(); soft: steady and
+                       high-resolution clocks, range-for over unordered
+                       containers, pointer-keyed ordered containers
   * sinks              wire writes (ByteWriter / encode frames), telemetry
                        emission (audit/metrics/trace), floating-point
                        accumulators (StatAccumulator/Ewma-style .add())
   * hot                the function is annotated `// roia-hot`
+
+Hard sources outside every indexed body and `// roia-hot` annotations that
+attach to no function are kept per file, so the parser's tolerance cannot
+hide a fact the rules must report.
 
 Parsing model (stdlib regex + brace matching, no compiler): comments and
 string literals are masked first, then the file is scanned as a sequence of
@@ -46,11 +50,14 @@ CPP_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 HOT_RE = re.compile(r"//\s*roia-hot\b")
 
 
-def mask_source(text):
+def mask_source(text, keep_literals=False):
     """Replaces comments and string/char literals with spaces.
 
     Newlines are preserved so offsets and line numbers survive. Handles //,
     /* */, "...", '...' with escapes, and basic raw strings R"delim(...)delim".
+    keep_literals masks comments only: the audit-vocabulary rule *reads*
+    string literals (they are its findings), yet commented-out emissions
+    must stay inert.
     """
     out = []
     i = 0
@@ -78,7 +85,8 @@ def mask_source(text):
             terminator = ")" + delim + '"'
             end = text.find(terminator, close + 1)
             end = n if end == -1 else end + len(terminator)
-            out.append("".join(ch if ch == "\n" else " " for ch in text[i:end]))
+            out.append(text[i:end] if keep_literals else
+                       "".join(ch if ch == "\n" else " " for ch in text[i:end]))
             i = end
         elif c in "\"'":
             quote = c
@@ -86,7 +94,7 @@ def mask_source(text):
             while j < n and text[j] != quote:
                 j += 2 if text[j] == "\\" else 1
             j = min(j + 1, n)
-            out.append(" " * (j - i))
+            out.append(text[i:j] if keep_literals else " " * (j - i))
             i = j
         else:
             out.append(c)
@@ -201,18 +209,22 @@ ALLOC_PATTERNS = [
     (re.compile(r"\bstd\s*::\s*vector\s*<"), "std::vector construction"),
 ]
 
-RNG_SOURCE_PATTERNS = [
-    (re.compile(r"(?<![\w:])s?rand\s*\("), "rand()/srand()"),
-    (re.compile(r"\brandom_device\b"), "std::random_device"),
+# Hard sources are nondeterministic wherever they appear, so each one in the
+# deterministic core is a finding by itself; soft sources (the monotonic
+# clocks below, unordered iteration, pointer-keyed order) only matter once
+# their value can reach a sink.
+HARD_SOURCE_PATTERNS = [
+    (re.compile(r"(?<![\w:])s?rand\s*\("), "rng", "rand()/srand()"),
+    (re.compile(r"\brandom_device\b"), "rng", "std::random_device"),
     (re.compile(r"\bmt19937(?:_64)?\s+\w+\s*(?:;|\(\s*\)|\{\s*\})"
                 r"|\bmt19937(?:_64)?\s*(?:\(\s*\)|\{\s*\})"),
-     "unseeded std::mt19937"),
-]
-CLOCK_SOURCE_PATTERNS = [
-    (re.compile(r"\b(?:system|steady|high_resolution)_clock\b"), "wall clock"),
+     "rng", "unseeded std::mt19937"),
+    (re.compile(r"\bsystem_clock\b"), "wall-clock", "std::chrono::system_clock"),
     (re.compile(r"(?<![\w.>:])(?:std\s*::\s*)?time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
-     "time()"),
+     "wall-clock", "time()"),
 ]
+HARD_SOURCE_KINDS = {kind for _pattern, kind, _what in HARD_SOURCE_PATTERNS}
+MONOTONIC_CLOCK_RE = re.compile(r"\b(?:steady|high_resolution)_clock\b")
 
 UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set)\s*<")
 PTR_KEY_DECL_RE = re.compile(
@@ -320,12 +332,9 @@ def _extract_facts(fn, body, base_offset, masked, unordered_names, accum_names):
     for pattern, what in ALLOC_PATTERNS:
         for m in pattern.finditer(body):
             fn.allocs.append((line_of(masked, base_offset + m.start()), what))
-    for pattern, what in RNG_SOURCE_PATTERNS:
-        for m in pattern.finditer(body):
-            fn.sources.append((line_of(masked, base_offset + m.start()), "rng", what))
-    for pattern, what in CLOCK_SOURCE_PATTERNS:
-        for m in pattern.finditer(body):
-            fn.sources.append((line_of(masked, base_offset + m.start()), "clock", what))
+    for m in MONOTONIC_CLOCK_RE.finditer(body):
+        fn.sources.append((line_of(masked, base_offset + m.start()), "clock",
+                           "steady/high-resolution clock"))
     for offset, terminal in range_for_terminals(body):
         if terminal in unordered_names:
             fn.sources.append((line_of(masked, base_offset + offset),
@@ -359,10 +368,22 @@ def _extract_facts(fn, body, base_offset, masked, unordered_names, accum_names):
                          line_of(masked, base_offset + m.start())))
 
 
-def parse_file(path, raw, unordered_extra=frozenset(), accum_extra=frozenset()):
-    """List of Function for one file. `*_extra` carry paired-header decls."""
-    masked = mask_source(raw)
+def parse_file(path, raw, masked, unordered_extra=frozenset(),
+               accum_extra=frozenset()):
+    """(functions, stray hard sources, stray hot lines) for one file.
+
+    `*_extra` carry paired-header decls. Hard sources are matched over the
+    whole file: a hit inside an indexed body is that function's fact, any
+    other hit (file-scope initializer, body the parser skipped) is a stray
+    (line, kind, what). Stray hot lines are `// roia-hot` annotations in no
+    function definition's head.
+    """
     hot_lines = {line_of(raw, m.start()) for m in HOT_RE.finditer(raw)}
+    attached = set()
+    hard = [(m.start(), kind, what)
+            for pattern, kind, what in HARD_SOURCE_PATTERNS
+            for m in pattern.finditer(masked)]
+    bodies = []  # (open brace, end) of every indexed function body
     unordered_names = declared_names(masked, UNORDERED_DECL_RE) | set(unordered_extra)
     accum_names = declared_names(masked, FP_ACCUM_TYPES_RE) | set(accum_extra)
 
@@ -394,7 +415,8 @@ def parse_file(path, raw, unordered_extra=frozenset(), accum_extra=frozenset()):
             if kind == "function":
                 head_line = line_of(masked, seg_start)
                 open_line = line_of(masked, i)
-                hot = any(l in hot_lines for l in range(head_line, open_line + 1))
+                annotations = hot_lines.intersection(range(head_line, open_line + 1))
+                attached |= annotations
                 scope_names = [s_name for s_kind, s_name in scope_stack
                                if s_name and s_name != "<anon>"]
                 qualname = "::".join(scope_names + [name])
@@ -407,7 +429,11 @@ def parse_file(path, raw, unordered_extra=frozenset(), accum_extra=frozenset()):
                             cls = s_name
                             break
                 fn = Function(qualname, name.rsplit("::", 1)[-1], cls, path,
-                              head_line, line_of(masked, end - 1), hot)
+                              head_line, line_of(masked, end - 1),
+                              bool(annotations))
+                fn.sources.extend((line_of(masked, off), src_kind, what)
+                                  for off, src_kind, what in hard if i <= off < end)
+                bodies.append((i, end))
                 _extract_facts(fn, masked[i:end], i, masked,
                                unordered_names, accum_names)
                 functions.append(fn)
@@ -415,7 +441,10 @@ def parse_file(path, raw, unordered_extra=frozenset(), accum_extra=frozenset()):
             seg_start = end
         else:
             i += 1
-    return functions
+    stray_sources = [(line_of(masked, off), kind, what)
+                     for off, kind, what in hard
+                     if not any(lo <= off < hi for lo, hi in bodies)]
+    return functions, stray_sources, sorted(hot_lines - attached)
 
 
 class Index:
@@ -423,16 +452,15 @@ class Index:
 
     def __init__(self):
         self.functions = []
-        self.by_name = {}      # unqualified name -> [Function]
-        self.by_file = {}      # path -> [Function]
-        self._edges = None     # Function -> [(Function, line)]
-        self._redges = None    # Function -> [(Function, line)] (callers)
-
-    def add_file(self, path, functions):
-        self.by_file[path] = functions
-        for fn in functions:
-            self.functions.append(fn)
-            self.by_name.setdefault(fn.name, []).append(fn)
+        self.by_name = {}        # unqualified name -> [Function]
+        self.by_file = {}        # path -> [Function]
+        self.raw = {}            # path -> source text
+        self.masked = {}         # path -> mask_source(raw)
+        self.files_by_stem = {}  # path minus extension -> [(path, masked)]
+        self.stray_sources = {}  # path -> [(line, kind, what)] outside bodies
+        self.stray_hot = {}      # path -> [line] of unattached // roia-hot
+        self._edges = None       # Function -> [(Function, line)]
+        self._redges = None      # Function -> [(Function, line)] (callers)
 
     def resolve_call(self, caller, name, qualifier):
         """Candidate Functions for one call site (over-approximate)."""
@@ -485,19 +513,23 @@ def paired_decl_names(files_by_stem, path):
 
 def build_index(files):
     """Index every file in `files` (paths); unreadable files are skipped."""
-    raws = {}
-    for path in files:
+    index = Index()
+    for path in dict.fromkeys(files):
         try:
             with open(path, encoding="utf-8") as f:
-                raws[path] = f.read()
+                raw = f.read()
         except OSError:
             continue
-    files_by_stem = {}
-    for path, raw in raws.items():
-        files_by_stem.setdefault(os.path.splitext(path)[0], []).append(
-            (path, mask_source(raw)))
-    index = Index()
-    for path, raw in raws.items():
-        unordered_extra, accum_extra = paired_decl_names(files_by_stem, path)
-        index.add_file(path, parse_file(path, raw, unordered_extra, accum_extra))
+        index.raw[path] = raw
+        index.masked[path] = mask_source(raw)
+        index.files_by_stem.setdefault(os.path.splitext(path)[0], []).append(
+            (path, index.masked[path]))
+    for path, raw in index.raw.items():
+        unordered_extra, accum_extra = paired_decl_names(index.files_by_stem, path)
+        functions, index.stray_sources[path], index.stray_hot[path] = parse_file(
+            path, raw, index.masked[path], unordered_extra, accum_extra)
+        index.by_file[path] = functions
+        for fn in functions:
+            index.functions.append(fn)
+            index.by_name.setdefault(fn.name, []).append(fn)
     return index

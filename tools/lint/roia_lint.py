@@ -6,15 +6,12 @@ compiler cannot check: deterministic simulation (seeded RNG only, no wall
 clock), stable iteration order anywhere bytes/RNG/telemetry are produced,
 encode/decode symmetry for every wire message, and allocation-free hot
 paths. This tool turns those conventions into named, machine-checkable
-rules over the C++ sources. Stdlib Python only; token/AST-lite (comments
-and string literals are masked before scanning, so commented-out code
-never fires a rule).
+rules over the C++ sources, one rule per invariant. Stdlib Python only;
+token/AST-lite (comments and string literals are masked before scanning,
+so commented-out code never fires a rule).
 
 Rules (see --list-rules):
 
-  determinism            bans wall-clock and unseeded randomness in the
-                         deterministic core (src/{sim,rtf,rms,model,game,
-                         serialize}); src/obs and bench timing are exempt.
   ordered-iteration      flags range-for over std::unordered_map/set in
                          files that feed serialization, RNG draws, or
                          telemetry output — iteration order there leaks
@@ -26,9 +23,6 @@ Rules (see --list-rules):
                          EntitySnapshot (rtf/entity.hpp) and verifies every
                          field has a SnapshotField row in the kSnapshotSchema
                          wire table of snapshot_codec.cpp.
-  hot-path-alloc         flags new / std::string / std::vector
-                         construction inside functions annotated
-                         `// roia-hot`.
   bounded-retry          flags retry/retransmit/poll loops in the
                          deterministic core with no structural exit
                          (while(true), for(;;), negated-flag spins) and no
@@ -44,22 +38,26 @@ Rules (see --list-rules):
   bad-suppression        a `roia-lint: allow(...)` without a justification
                          (`-- <reason>`) or naming an unknown rule.
 
-Whole-program rules (v2, built on the call-graph index in cpp_index.py —
-every file under the scanned tree is brace-parsed into functions, calls and
-per-function facts, and the rules below propagate those facts across
-function and TU boundaries):
+Whole-program rules (built on the call-graph index in cpp_index.py, the one
+lexer every rule shares — every file under the scanned tree is brace-parsed
+into functions, calls and per-function facts, and the rules below
+propagate those facts across function and TU boundaries):
 
-  transitive-hot-alloc   propagates `// roia-hot` through the call graph:
-                         an allocation in any reachable non-hot callee is
-                         flagged with the full hot-root -> callee chain.
-                         Replaces the annotate-every-leaf honor system.
-  determinism-taint      dataflow from nondeterminism sources (unseeded
-                         RNG, wall clocks, unordered iteration order,
-                         pointer-keyed ordered containers) in the
-                         deterministic core to observable sinks (wire
-                         writes, metrics/audit/trace emission, FP
-                         accumulators), reported with the source -> sink
-                         call chain.
+  transitive-hot-alloc   flags new / std::string / std::vector
+                         construction in a function annotated
+                         `// roia-hot` or in anything it can call, with
+                         the hot-root -> callee chain; an annotation that
+                         attaches to no function is a finding too.
+  determinism-taint      bans hard nondeterminism sources (rand/srand,
+                         random_device, unseeded mt19937, system_clock,
+                         time()) in the deterministic core (src/{sim,rtf,
+                         rms,model,game,serialize}; src/obs and bench
+                         timing are exempt), and reports dataflow from
+                         soft sources (monotonic clocks, unordered
+                         iteration order, pointer-keyed ordered
+                         containers) to observable sinks (wire writes,
+                         metrics/audit/trace emission, FP accumulators);
+                         flows carry the source -> sink call chain.
   wire-schema-drift      every *Msg struct and kSnapshotSchema row is
                          checked against the golden manifest
                          tools/lint/wire_manifest.json (field name,
@@ -99,21 +97,15 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpp_index  # noqa: E402  (sibling module, stdlib-only)
+from cpp_index import (  # noqa: E402
+    CPP_EXTENSIONS, line_of, mask_source, match_bracket)
 
 # Subsystems whose behaviour must be bit-reproducible from a seed. src/obs
 # (telemetry sidecars may stamp wall-clock metadata) and the bench harnesses
 # (wall-clock timing is their purpose) are deliberately outside this set.
 CORE_DIRS = {"sim", "rtf", "rms", "model", "game", "serialize"}
 
-CPP_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
-
 RULES = {
-    "determinism": (
-        "rand()/srand(), std::random_device, std::chrono::system_clock, "
-        "time(), and unseeded std::mt19937 are banned in the deterministic "
-        "core — all randomness must flow through the seeded roia::Rng and "
-        "all time through SimTime"
-    ),
     "ordered-iteration": (
         "range-for over std::unordered_map/std::unordered_set in a file "
         "that feeds serialization, RNG draws, or telemetry output — "
@@ -124,10 +116,6 @@ RULES = {
         "in both its encode() and decode*() body in messages.cpp, and every "
         "EntitySnapshot field must have a SnapshotField::k<Name> row in the "
         "kSnapshotSchema wire table of snapshot_codec.cpp"
-    ),
-    "hot-path-alloc": (
-        "no new / std::string / std::to_string / std::vector construction "
-        "inside a function annotated // roia-hot"
     ),
     "bounded-retry": (
         "retry/retransmit/poll loops in the deterministic core with no "
@@ -146,16 +134,19 @@ RULES = {
         "justification: // roia-lint: allow(<rule>) -- <reason>"
     ),
     "transitive-hot-alloc": (
-        "no allocation in any function reachable from a // roia-hot root "
-        "through the whole-program call graph — the hot annotation "
-        "propagates to callees, so a helper two calls deep cannot hide "
-        "an allocation the line-local hot-path-alloc rule would miss"
+        "no new / std::string / std::to_string / std::vector construction "
+        "in a function annotated // roia-hot or in any function reachable "
+        "from one through the whole-program call graph, and every "
+        "// roia-hot annotation must attach to a function definition"
     ),
     "determinism-taint": (
-        "no dataflow from a nondeterminism source (unseeded RNG, wall "
-        "clock, unordered iteration, pointer-keyed ordering) in the "
-        "deterministic core to an observable sink (wire bytes, metrics/"
-        "audit/trace emission, FP accumulators); reported with the "
+        "rand()/srand(), std::random_device, unseeded std::mt19937, "
+        "std::chrono::system_clock and time() are banned in the "
+        "deterministic core — all randomness must flow through the seeded "
+        "roia::Rng and all time through SimTime; softer sources (monotonic "
+        "clocks, unordered iteration, pointer-keyed ordering) must not "
+        "reach an observable sink (wire bytes, metrics/audit/trace "
+        "emission, FP accumulators); flows are reported with the "
         "source -> sink call chain"
     ),
     "wire-schema-drift": (
@@ -172,7 +163,6 @@ RULES = {
 }
 
 ALLOW_RE = re.compile(r"//\s*roia-lint:\s*allow\(([^)]*)\)(?:\s*--\s*(\S.*))?")
-HOT_RE = re.compile(r"//\s*roia-hot\b")
 
 
 class Finding:
@@ -189,118 +179,9 @@ class Finding:
                 "message": self.message}
 
 
-def mask_source(text):
-    """Replaces comments and string/char literals with spaces.
-
-    Newlines are preserved so offsets and line numbers survive. Handles //,
-    /* */, "...", '...' with escapes, and basic raw strings R"delim(...)delim".
-    """
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            end = text.find("\n", i)
-            end = n if end == -1 else end
-            out.append(" " * (end - i))
-            i = end
-        elif c == "/" and nxt == "*":
-            end = text.find("*/", i + 2)
-            end = n if end == -1 else end + 2
-            out.append("".join(ch if ch == "\n" else " " for ch in text[i:end]))
-            i = end
-        elif c == "R" and nxt == '"':
-            close = text.find("(", i + 2)
-            if close == -1:
-                out.append(c)
-                i += 1
-                continue
-            delim = text[i + 2:close]
-            terminator = ")" + delim + '"'
-            end = text.find(terminator, close + 1)
-            end = n if end == -1 else end + len(terminator)
-            out.append("".join(ch if ch == "\n" else " " for ch in text[i:end]))
-            i = end
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            j = min(j + 1, n)
-            out.append(" " * (j - i))
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def mask_comments(text):
-    """Replaces comments with spaces but keeps string literals intact.
-
-    The audit-vocabulary rule needs to *read* string literals (they are the
-    findings), yet commented-out emissions must stay inert — so this is the
-    comment-only counterpart of mask_source(). Newlines are preserved.
-    """
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            end = text.find("\n", i)
-            end = n if end == -1 else end
-            out.append(" " * (end - i))
-            i = end
-        elif c == "/" and nxt == "*":
-            end = text.find("*/", i + 2)
-            end = n if end == -1 else end + 2
-            out.append("".join(ch if ch == "\n" else " " for ch in text[i:end]))
-            i = end
-        elif c == "R" and nxt == '"':
-            close = text.find("(", i + 2)
-            if close == -1:
-                out.append(c)
-                i += 1
-                continue
-            delim = text[i + 2:close]
-            terminator = ")" + delim + '"'
-            end = text.find(terminator, close + 1)
-            end = n if end == -1 else end + len(terminator)
-            out.append(text[i:end])
-            i = end
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            j = min(j + 1, n)
-            out.append(text[i:j])
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def line_of(text, offset):
-    return text.count("\n", 0, offset) + 1
-
-
-def match_bracket(text, open_pos, open_ch, close_ch):
-    """Offset just past the bracket closing text[open_pos]; -1 if unbalanced."""
-    depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == open_ch:
-            depth += 1
-        elif text[i] == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
+def read_masked(path):
+    with open(path, encoding="utf-8") as f:
+        return mask_source(f.read())
 
 
 def collect_suppressions(raw_lines):
@@ -341,44 +222,8 @@ def is_suppressed(finding, allows):
 
 
 # ---------------------------------------------------------------------------
-# determinism
-
-DETERMINISM_PATTERNS = [
-    (re.compile(r"(?<![\w:])s?rand\s*\("),
-     "rand()/srand(): use the seeded roia::Rng instead"),
-    (re.compile(r"\brandom_device\b"),
-     "std::random_device is nondeterministic; seed a roia::Rng"),
-    (re.compile(r"\bsystem_clock\b"),
-     "wall clock in the deterministic core; use SimTime"),
-    (re.compile(r"(?<![\w.>:])(?:std\s*::\s*)?time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
-     "time() reads the wall clock; use SimTime"),
-]
-
-MT19937_UNSEEDED_RE = re.compile(
-    r"\bmt19937(?:_64)?\s+\w+\s*(?:;|\(\s*\)|\{\s*\})|\bmt19937(?:_64)?\s*(?:\(\s*\)|\{\s*\})")
-MT19937_ANY_RE = re.compile(r"\bmt19937(?:_64)?\b")
-
-
-def rule_determinism(path, masked, in_core):
-    if not in_core:
-        return []
-    findings = []
-    for pattern, message in DETERMINISM_PATTERNS:
-        for m in pattern.finditer(masked):
-            findings.append(Finding(path, line_of(masked, m.start()),
-                                    "determinism", message))
-    for m in MT19937_UNSEEDED_RE.finditer(masked):
-        findings.append(Finding(
-            path, line_of(masked, m.start()), "determinism",
-            "unseeded std::mt19937; use roia::Rng (or at minimum a "
-            "fixed-seed construction)"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # ordered-iteration
 
-UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set)\s*<")
 # Signals that a file's results end up in bytes, RNG-dependent state, or
 # telemetry — the contexts where iteration order becomes observable.
 OUTPUT_FEED_RE = re.compile(
@@ -386,60 +231,13 @@ OUTPUT_FEED_RE = re.compile(
     r"Tracer|telemetry|printf|std::cout|writeVar")
 
 
-def unordered_container_names(masked):
-    """Identifiers declared with std::unordered_map/std::unordered_set type."""
-    names = set()
-    for m in UNORDERED_DECL_RE.finditer(masked):
-        open_angle = masked.find("<", m.start())
-        # Angle-bracket matching ignoring shifts: template args here never
-        # contain expressions, so <...> counting is exact in practice.
-        end = match_bracket(masked, open_angle, "<", ">")
-        if end == -1:
-            continue
-        tail = masked[end:end + 200]
-        decl = re.match(r"\s*&?\s*([A-Za-z_]\w*)\s*[;{=,)]", tail)
-        if decl:
-            names.add(decl.group(1))
-    return names
-
-
-def range_for_loops(masked):
-    """Yields (line, range_expression) for every range-based for."""
-    for m in re.finditer(r"\bfor\s*\(", masked):
-        open_paren = masked.find("(", m.start())
-        end = match_bracket(masked, open_paren, "(", ")")
-        if end == -1:
-            continue
-        inner = masked[open_paren + 1:end - 1]
-        # Find a top-level ':' that is not part of '::'.
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch in "(<[{":
-                depth += 1
-            elif ch in ")>]}":
-                depth -= 1
-            elif ch == ":" and depth == 0:
-                if (i > 0 and inner[i - 1] == ":") or inner[i + 1:i + 2] == ":":
-                    continue
-                yield line_of(masked, open_paren), inner[i + 1:].strip()
-                break
-
-
-def rule_ordered_iteration(path, masked, paired_masked, in_scope):
-    if not in_scope:
-        return []
-    names = unordered_container_names(masked)
-    for other in paired_masked:
-        names |= unordered_container_names(other)
-    if not names:
-        return []
+def rule_ordered_iteration(path, masked, unordered_names):
     findings = []
-    for line, expr in range_for_loops(masked):
-        terminal = re.search(r"([A-Za-z_]\w*)\s*$", expr)
-        if terminal and terminal.group(1) in names:
+    for offset, terminal in cpp_index.range_for_terminals(masked):
+        if terminal in unordered_names:
             findings.append(Finding(
-                path, line, "ordered-iteration",
-                f"range-for over unordered container '{terminal.group(1)}' "
+                path, line_of(masked, offset), "ordered-iteration",
+                f"range-for over unordered container '{terminal}' "
                 "in an output-feeding file; iterate a sorted view or use an "
                 "ordered container"))
     return findings
@@ -592,59 +390,6 @@ def rule_snapshot_schema_coverage(cpp_path, cpp_masked, hpp_path, hpp_masked):
 
 
 # ---------------------------------------------------------------------------
-# hot-path-alloc
-
-HOT_ALLOC_PATTERNS = [
-    (re.compile(r"(?<![\w:])new\b"), "operator new"),
-    (re.compile(r"\bstd\s*::\s*string\b(?!_view)"), "std::string construction"),
-    (re.compile(r"\bstd\s*::\s*to_string\b"), "std::to_string (allocates)"),
-    (re.compile(r"\bstd\s*::\s*vector\s*<"), "std::vector construction"),
-]
-
-
-def rule_hot_path_alloc(path, raw, masked):
-    findings = []
-    for m in HOT_RE.finditer(raw):
-        anno_line = line_of(raw, m.start())
-        # The annotated function's body: first '{' after the annotation that
-        # follows a ')' (i.e. after a signature, not an initializer).
-        search_from = raw.find("\n", m.start())
-        if search_from == -1:
-            continue
-        open_brace = -1
-        paren_seen = False
-        for i in range(search_from, len(masked)):
-            ch = masked[i]
-            if ch == "(":
-                paren_seen = True
-                i2 = match_bracket(masked, i, "(", ")")
-                if i2 == -1:
-                    break
-            if ch == "{" and paren_seen:
-                open_brace = i
-                break
-            if ch == ";" and not paren_seen:
-                break  # hit a plain statement first: annotation is dangling
-        if open_brace == -1:
-            findings.append(Finding(
-                path, anno_line, "hot-path-alloc",
-                "// roia-hot annotation with no function body following it"))
-            continue
-        end = match_bracket(masked, open_brace, "{", "}")
-        if end == -1:
-            continue
-        body = masked[open_brace:end]
-        for pattern, what in HOT_ALLOC_PATTERNS:
-            for hit in pattern.finditer(body):
-                findings.append(Finding(
-                    path, line_of(masked, open_brace + hit.start()),
-                    "hot-path-alloc",
-                    f"{what} inside // roia-hot function (annotated at "
-                    f"line {anno_line})"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # bounded-retry
 
 # Identifiers that mark a loop as re-attempting delivery of something: a
@@ -779,42 +524,43 @@ def rule_audit_vocabulary(path, comment_masked, vocab):
 # whole-program rules (call-graph based; index built by cpp_index.py)
 
 def rule_transitive_hot_alloc(index):
-    """Allocations reachable from a // roia-hot root anywhere in the graph.
+    """Allocations in a // roia-hot function or anywhere it can call.
 
     BFS from every hot function; the first (therefore shortest) path to
-    each reachable callee is recorded so the finding can print the full
-    hot-root -> ... -> allocator chain. Allocations *inside* a hot function
-    itself are the line-local hot-path-alloc rule's job; this rule covers
-    exactly the callees that rule cannot see.
+    each reachable function is recorded so the finding can print the full
+    hot-root -> ... -> allocator chain (for a root's own allocations the
+    chain is just the root). An annotation that attaches to no indexed
+    function would switch the check off without a word, so it is a finding
+    at the annotation's line.
     """
-    findings = []
+    findings = [Finding(path, line, "transitive-hot-alloc",
+                        "// roia-hot annotation attaches to no function "
+                        "definition; put it directly above the hot "
+                        "function's definition (a declaration has no body "
+                        "to check)")
+                for path, lines in index.stray_hot.items() for line in lines]
     roots = [fn for fn in index.functions if fn.hot]
-    parent = {}
-    seen = {id(fn) for fn in roots}
+    parent = {id(fn): None for fn in roots}
     queue = collections.deque(roots)
     while queue:
         fn = queue.popleft()
+        if fn.allocs:
+            chain = []
+            node = fn
+            while node is not None:
+                chain.append(node.qualname)
+                node = parent[id(node)]
+            chain_text = " -> ".join(reversed(chain))
+            for line, what in fn.allocs:
+                findings.append(Finding(
+                    fn.file, line, "transitive-hot-alloc",
+                    f"{what} in '{fn.qualname}' on a // roia-hot path "
+                    f"(chain: {chain_text}); hoist the buffer out of the "
+                    "hot path or make the function allocation-free"))
         for callee, _call_line in index.callees(fn):
-            if id(callee) in seen:
-                continue
-            seen.add(id(callee))
-            parent[id(callee)] = fn
-            queue.append(callee)
-            if callee.allocs and not callee.hot:
-                chain = [callee]
-                node = fn
-                while node is not None:
-                    chain.append(node)
-                    node = parent.get(id(node))
-                chain.reverse()
-                chain_text = " -> ".join(f.qualname for f in chain)
-                for line, what in callee.allocs:
-                    findings.append(Finding(
-                        callee.file, line, "transitive-hot-alloc",
-                        f"{what} in '{callee.qualname}' is reachable from "
-                        f"// roia-hot root '{chain[0].qualname}' (chain: "
-                        f"{chain_text}); hoist the buffer to the caller or "
-                        "make the callee allocation-free"))
+            if id(callee) not in parent:
+                parent[id(callee)] = fn
+                queue.append(callee)
     return findings
 
 
@@ -841,53 +587,86 @@ def _up_bfs(index, start):
     return dist, parent, nodes
 
 
+def _meet_chain(src_bfs, sink_bfs):
+    """Minimal source -> meet -> sink chain of two _up_bfs results, or None."""
+    sdist, sparent, snodes = src_bfs
+    kdist, kparent, knodes = sink_bfs
+    best = None
+    for fid, d in sdist.items():
+        if fid in kdist and (best is None or d + kdist[fid] < best[1]):
+            best = (fid, d + kdist[fid])
+    if best is None:
+        return None
+    meet_to_src = []
+    node = snodes[best[0]]
+    while node is not None:
+        meet_to_src.append(node)
+        node = sparent.get(id(node))
+    meet_to_sink = []
+    node = knodes[best[0]]
+    while node is not None:
+        meet_to_sink.append(node)
+        node = kparent.get(id(node))
+    return list(reversed(meet_to_src)) + meet_to_sink[1:]
+
+
+def _flow_text(chain, sink):
+    _line, kind, what = sink.sinks[0]
+    return (f"{kind} sink ({what}) in '{sink.qualname}' (flow: "
+            + " -> ".join(f.qualname for f in chain) + ")")
+
+
 def rule_determinism_taint(index, core_files):
-    """Nondeterminism sources in the core flowing into observable sinks.
+    """Nondeterminism sources in the core and their flows into sinks.
 
     A source function's return value taints its callers (caller-direction
     BFS); a sink function is reachable from its callers the same way. Any
     function in both closures is a meet point: the nondeterministic value
     can travel up from the source to the meet and down into the sink call.
-    One finding per (source function, sink function) pair, anchored at the
-    source fact's line, carrying the minimal source -> meet -> sink chain.
+
+    Hard sources (cpp_index.HARD_SOURCE_PATTERNS) are banned outright:
+    each is one finding at its own line, carrying the shortest chain to
+    any sink when a flow exists. Soft sources matter only when they flow:
+    one finding per (source function, sink function) pair, anchored at the
+    function's first soft source, with the minimal chain.
     """
-    findings = []
-    sources = [fn for fn in index.functions
-               if fn.sources and fn.file in core_files]
-    sinks = [fn for fn in index.functions if fn.sinks]
-    if not sources or not sinks:
-        return findings
-    sink_maps = [(fn, _up_bfs(index, fn)) for fn in sinks]
-    for src in sources:
-        sdist, sparent, snodes = _up_bfs(index, src)
-        for sink, (kdist, kparent, knodes) in sink_maps:
-            best = None
-            for fid, d in sdist.items():
-                if fid in kdist and (best is None or d + kdist[fid] < best[1]):
-                    best = (fid, d + kdist[fid])
-            if best is None:
+    ban = ("all randomness must flow through the seeded roia::Rng and all "
+           "time through SimTime")
+    findings = [Finding(path, line, "determinism-taint",
+                        f"{kind} source ({what}) outside any function body "
+                        f"in the deterministic core; {ban}")
+                for path in core_files
+                for line, kind, what in index.stray_sources.get(path, [])]
+    sink_maps = [(fn, _up_bfs(index, fn)) for fn in index.functions if fn.sinks]
+    for path in core_files:
+        for src in index.by_file.get(path, []):
+            if not src.sources:
                 continue
-            meet_id = best[0]
-            meet_to_src = []
-            node = snodes[meet_id]
-            while node is not None:
-                meet_to_src.append(node)
-                node = sparent.get(id(node))
-            meet_to_sink = []
-            node = knodes[meet_id]
-            while node is not None:
-                meet_to_sink.append(node)
-                node = kparent.get(id(node))
-            chain = list(reversed(meet_to_src)) + meet_to_sink[1:]
-            src_line, src_kind, src_what = src.sources[0]
-            _sink_line, sink_kind, sink_what = sink.sinks[0]
-            chain_text = " -> ".join(f.qualname for f in chain)
-            findings.append(Finding(
-                src.file, src_line, "determinism-taint",
-                f"{src_kind} source ({src_what}) in '{src.qualname}' can "
-                f"reach {sink_kind} sink ({sink_what}) in '{sink.qualname}' "
-                f"(flow: {chain_text}); route the value through seeded "
-                "Rng/SimTime or sort before emission"))
+            src_bfs = _up_bfs(index, src)
+            flows = []
+            for sink, sink_bfs in sink_maps:
+                chain = _meet_chain(src_bfs, sink_bfs)
+                if chain:
+                    flows.append((chain, sink))
+            shortest = min(flows, key=lambda flow: len(flow[0]), default=None)
+            soft = []
+            for line, kind, what in src.sources:
+                if kind not in cpp_index.HARD_SOURCE_KINDS:
+                    soft.append((line, kind, what))
+                    continue
+                reach = f" and can reach {_flow_text(*shortest)}" if shortest else ""
+                findings.append(Finding(
+                    src.file, line, "determinism-taint",
+                    f"{kind} source ({what}) in '{src.qualname}' is banned "
+                    f"in the deterministic core{reach}; {ban}"))
+            if soft:
+                line, kind, what = soft[0]
+                for chain, sink in flows:
+                    findings.append(Finding(
+                        src.file, line, "determinism-taint",
+                        f"{kind} source ({what}) in '{src.qualname}' can "
+                        f"reach {_flow_text(chain, sink)}; route the value "
+                        "through seeded Rng/SimTime or sort before emission"))
     return findings
 
 
@@ -1086,18 +865,6 @@ def collect_files(paths):
     return files
 
 
-def paired_sources(path):
-    """Masked text of same-stem sibling files (foo.cpp <-> foo.hpp/.h)."""
-    stem, _ = os.path.splitext(path)
-    out = []
-    for ext in CPP_EXTENSIONS:
-        sibling = stem + ext
-        if sibling != path and os.path.isfile(sibling):
-            with open(sibling, encoding="utf-8") as f:
-                out.append(mask_source(f.read()))
-    return out
-
-
 def lint_files(files, assume_core=False, graph_files=None,
                manifest_path=None, manifest_explicit=False):
     """(findings, suppressed, suppression-debt table) over `files`.
@@ -1114,20 +881,20 @@ def lint_files(files, assume_core=False, graph_files=None,
     messages_pairs = []
     snapshot_pairs = []
     allows_by_file = {}
-    masked_by_file = {}
+    # One lexing pass: the index masks every file of the graph set, which
+    # always covers `files`, and the per-file rules reuse its text.
+    index = cpp_index.build_index(graph_files or files)
     audit_vocab, audit_registries = load_audit_vocabulary(files)
     for path in files:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
-        masked = mask_source(raw)
-        masked_by_file[path] = masked
-        raw_lines = raw.splitlines()
-        allows = collect_suppressions(raw_lines)
+        raw = index.raw[path]
+        masked = index.masked[path]
+        allows = collect_suppressions(raw.splitlines())
         allows_by_file[path] = allows
 
         subsystem = path_subsystem(path)
         in_core = assume_core or subsystem in CORE_DIRS
-        paired = paired_sources(path)
+        paired = [m for p, m in index.files_by_stem[os.path.splitext(path)[0]]
+                  if p != path]
         # Ordered iteration matters wherever results become observable:
         # the deterministic core always qualifies; elsewhere (e.g. the
         # fault injector in src/net) a reference to RNG/serialization/
@@ -1137,30 +904,29 @@ def lint_files(files, assume_core=False, graph_files=None,
             subsystem != "obs"
             and any(OUTPUT_FEED_RE.search(t) for t in [masked] + paired))
 
-        file_findings = []
-        file_findings += suppression_findings(path, allows)
-        file_findings += rule_determinism(path, masked, in_core)
-        file_findings += rule_ordered_iteration(path, masked, paired, feeds_output)
-        file_findings += rule_hot_path_alloc(path, raw, masked)
+        file_findings = suppression_findings(path, allows)
+        if feeds_output:
+            unordered = (
+                cpp_index.declared_names(masked, cpp_index.UNORDERED_DECL_RE)
+                | cpp_index.paired_decl_names(index.files_by_stem, path)[0])
+            file_findings += rule_ordered_iteration(path, masked, unordered)
         file_findings += rule_bounded_retry(path, masked, in_core)
         # The registry itself is exempt (its literals ARE the vocabulary);
         # with no registry in sight the rule has nothing to check against.
         if audit_vocab and path not in audit_registries:
-            file_findings += rule_audit_vocabulary(path, mask_comments(raw),
-                                                   audit_vocab)
+            file_findings += rule_audit_vocabulary(
+                path, mask_source(raw, keep_literals=True), audit_vocab)
 
         if os.path.basename(path) == "messages.hpp":
             cpp = os.path.splitext(path)[0] + ".cpp"
             if os.path.isfile(cpp):
-                with open(cpp, encoding="utf-8") as f:
-                    cpp_masked = mask_source(f.read())
+                cpp_masked = index.masked.get(cpp) or read_masked(cpp)
                 messages_pairs.append((path, masked, cpp, cpp_masked, allows))
 
         if os.path.basename(path) == "snapshot_codec.cpp":
             hpp = os.path.join(os.path.dirname(path), "entity.hpp")
             if os.path.isfile(hpp):
-                with open(hpp, encoding="utf-8") as f:
-                    hpp_masked = mask_source(f.read())
+                hpp_masked = index.masked.get(hpp) or read_masked(hpp)
                 snapshot_pairs.append((path, masked, hpp, hpp_masked, allows))
             else:
                 file_findings.append(Finding(
@@ -1181,9 +947,8 @@ def lint_files(files, assume_core=False, graph_files=None,
                                                      hpp_path, hpp_masked):
             (suppressed if is_suppressed(finding, allows) else findings).append(finding)
 
-    # Whole-program rules: index the graph file set (the full tree even
-    # under --changed-only), report only into the linted subset.
-    index = cpp_index.build_index(graph_files or files)
+    # Whole-program rules: the index spans the graph file set (the full
+    # tree even under --changed-only); report only into the linted subset.
     core_files = {p for p in (graph_files or files)
                   if assume_core or path_subsystem(p) in CORE_DIRS}
     linted = set(files)
@@ -1200,17 +965,14 @@ def lint_files(files, assume_core=False, graph_files=None,
     if messages_path is not None or codec_path is not None:
         entity_masked = None
         if entity_path is not None:
-            entity_masked = masked_by_file.get(entity_path)
-            if entity_masked is None:
-                with open(entity_path, encoding="utf-8") as f:
-                    entity_masked = mask_source(f.read())
+            entity_masked = index.masked.get(entity_path) or read_masked(entity_path)
         current = extract_wire_manifest(
-            masked_by_file.get(messages_path), entity_masked,
-            masked_by_file.get(codec_path))
+            index.masked.get(messages_path), entity_masked,
+            index.masked.get(codec_path))
         for finding in rule_wire_schema_drift(
                 current, manifest_path or DEFAULT_MANIFEST,
-                messages_path, masked_by_file.get(messages_path),
-                codec_path, masked_by_file.get(codec_path)):
+                messages_path, index.masked.get(messages_path),
+                codec_path, index.masked.get(codec_path)):
             allows = allows_by_file.get(finding.file, {})
             (suppressed if is_suppressed(finding, allows) else findings).append(finding)
 
@@ -1352,15 +1114,9 @@ def main():
                   file=sys.stderr)
             return 2
 
-        def masked_of(path):
-            if path is None:
-                return None
-            with open(path, encoding="utf-8") as f:
-                return mask_source(f.read())
-
-        manifest = extract_wire_manifest(masked_of(messages_path),
-                                         masked_of(entity_path),
-                                         masked_of(codec_path))
+        manifest = extract_wire_manifest(
+            *(read_masked(p) if p else None
+              for p in (messages_path, entity_path, codec_path)))
         with open(manifest_path, "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2, sort_keys=False)
             f.write("\n")
