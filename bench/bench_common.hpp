@@ -1,7 +1,8 @@
 // Shared helpers for the figure-reproduction harnesses: a standard
-// calibration run (the paper's section V-A campaign) and small table
-// printers. Each harness prints the same series the corresponding paper
-// figure plots, so the output can be piped straight into gnuplot.
+// calibration run (the paper's section V-A campaign), small table printers
+// and the `check:` line of harnesses that gate their own claims. Each
+// harness prints the same series the corresponding paper figure plots, so
+// the output can be piped straight into gnuplot.
 #pragma once
 
 #include <array>
@@ -105,55 +106,15 @@ class TelemetryScope {
   bool flushed_{false};
 };
 
-/// Applies the ROIA_INTEREST environment override to an FpsConfig:
-///   euclidean  paper-default pairwise scan (no-op on a default config)
-///   grid       incremental flat-grid interest via applyGridInterestProfile
-/// Unset leaves the config untouched, so default runs stay byte-identical.
-inline void applyInterestOverride(game::FpsConfig& config) {
-  const char* value = std::getenv("ROIA_INTEREST");
-  if (value == nullptr) return;
-  const std::string policy(value);
-  if (policy == "grid") {
-    game::applyGridInterestProfile(config);
-  } else if (policy == "euclidean") {
-    config.interestPolicy = game::InterestPolicyKind::kEuclidean;
-  } else {
-    std::fprintf(stderr, "warning: ignoring ROIA_INTEREST='%s' (want euclidean|grid)\n", value);
-  }
-}
-
-/// Applies the ROIA_REPLICATION environment override to a ServerConfig:
-///   full   whole-snapshot state updates (no-op on a default config)
-///   delta  baseline-aware delta codec with quantized motion fields
-/// Unset leaves the config untouched, so default runs stay byte-identical.
-inline void applyReplicationOverride(rtf::ServerConfig& config) {
-  const char* value = std::getenv("ROIA_REPLICATION");
-  if (value == nullptr) return;
-  const std::string policy(value);
-  if (policy == "delta") {
-    config.replication.codec = rtf::ReplicationCodec::kDelta;
-  } else if (policy == "full") {
-    config.replication.codec = rtf::ReplicationCodec::kFull;
-  } else {
-    std::fprintf(stderr, "warning: ignoring ROIA_REPLICATION='%s' (want full|delta)\n", value);
-  }
-}
-
 /// Full-strength calibration campaign (matches the paper: up to 300 bots on
-/// two replicas of one zone, plus a migration sweep). Honors ROIA_INTEREST;
-/// a grid-policy run is fitted with the adaptive plan so the flattened
-/// t_ua/t_aoi shapes are discovered rather than forced quadratic.
+/// two replicas of one zone, plus a migration sweep).
 inline game::CalibrationResult runCalibration(bool quick = false) {
   game::CalibrationConfig config;
   if (quick) {
     config.replicationPopulations = {50, 100, 150, 200, 250, 300};
     config.migrationPopulations = {60, 120, 180, 240};
   }
-  applyInterestOverride(config.measurement.fps);
-  applyReplicationOverride(config.measurement.server);
-  const bool grid = config.measurement.fps.interestPolicy == game::InterestPolicyKind::kGrid;
-  return game::calibrateModel(config,
-                              grid ? model::FitPlan::adaptive() : model::FitPlan::paperDefault());
+  return game::calibrateModel(config);
 }
 
 /// Bins scattered (x, y) samples by x and returns per-bin mean — the
@@ -188,6 +149,13 @@ inline void printParamTable(const char* name, const SampleSeries& samples,
   for (const auto& [n, mean] : binnedMeans(samples)) {
     std::printf("  %6.0f   %10.4f  %10.4f\n", n, mean, fitted.eval(n));
   }
+}
+
+/// Prints one self-check line of a harness claim; returns 1 on failure, so
+/// a harness can sum the results and return the failure count from main().
+inline int check(const char* what, bool pass, double got) {
+  std::printf("check: %-46s %s (%.2f)\n", what, pass ? "PASS" : "FAIL", got);
+  return pass ? 0 : 1;
 }
 
 }  // namespace roia::benchharness

@@ -7,7 +7,9 @@
 // population sweep, fitted with the same pipeline as the CPU parameters,
 // and inverted into a bandwidth-limited n_max — then compared against the
 // CPU-limited n_max of Eq. (2) to show which resource binds first on a
-// given link.
+// given link. A second leg repeats the sweep under the baseline-aware delta
+// codec; the harness checks that it cuts egress at least 2x and raises the
+// bandwidth-limited n_max, and exits with the number of failed checks.
 #include "bench_common.hpp"
 #include "game/measurement.hpp"
 #include "model/bandwidth.hpp"
@@ -16,6 +18,7 @@
 int main() {
   roia::benchharness::TelemetryScope telemetryScope;
   using namespace roia;
+  using benchharness::check;
   using benchharness::printHeader;
 
   printHeader("Extension — per-server bandwidth model (paper future work + [10])");
@@ -66,47 +69,48 @@ int main() {
       "bandwidth the Eq. (2) CPU bound is the true capacity — matching the paper's implicit\n"
       "assumption that tick duration, not bandwidth, is the constraint on its testbed.\n");
 
-  // Optional second leg (ROIA_REPLICATION=delta): repeat the sweep under the
-  // baseline-aware delta codec and compare egress curves, per-user cost, and
-  // the bandwidth-limited capacity against the full codec measured above.
-  rtf::ServerConfig deltaServer = config.server;
-  benchharness::applyReplicationOverride(deltaServer);
-  if (deltaServer.replication.codec == rtf::ReplicationCodec::kDelta) {
-    printHeader("delta codec — egress under baseline-aware replication");
-    game::MeasurementConfig deltaConfig = config;
-    deltaConfig.server = deltaServer;
-    const std::vector<model::BandwidthSample> deltaSamples =
-        game::measureBandwidthSweep(deltaConfig, populations, kReplicas);
+  // Second leg: repeat the sweep under the baseline-aware delta codec and
+  // compare egress curves, per-user cost, and the bandwidth-limited
+  // capacity against the full codec measured above.
+  printHeader("delta codec — egress under baseline-aware replication");
+  game::MeasurementConfig deltaConfig = config;
+  deltaConfig.server.replication.codec = rtf::ReplicationCodec::kDelta;
+  const std::vector<model::BandwidthSample> deltaSamples =
+      game::measureBandwidthSweep(deltaConfig, populations, kReplicas);
 
-    std::printf("\n# n     egress_full_KB_s   egress_delta_KB_s   reduction\n");
-    for (std::size_t i = 0; i < deltaSamples.size(); ++i) {
-      const double full = samples[i].egressBytesPerSec;
-      const double delta = deltaSamples[i].egressBytesPerSec;
-      std::printf("  %4zu   %16.1f   %17.1f   %8.2fx\n", deltaSamples[i].users, full / 1e3,
-                  delta / 1e3, delta > 0 ? full / delta : 0.0);
-    }
-
-    const model::BandwidthModel deltaModel = model::BandwidthModel::fit(deltaSamples, "delta");
-    std::printf("\n%s", deltaModel.describe().c_str());
-
-    const model::BandwidthSample& fullTop = samples.back();
-    const model::BandwidthSample& deltaTop = deltaSamples.back();
-    std::printf("egress reduction at steady state (n=%zu): %.2fx\n", fullTop.users,
-                deltaTop.egressBytesPerSec > 0
-                    ? fullTop.egressBytesPerSec / deltaTop.egressBytesPerSec
-                    : 0.0);
-
-    std::printf("\n# codec   n_max@25Mbit/s   egress_B_per_user@n_max\n");
-    constexpr double kLink = 25e6 / 8;
-    const std::size_t fullNMax = bwModel.nMaxForLink(kLink);
-    const std::size_t deltaNMax = deltaModel.nMaxForLink(kLink);
-    std::printf("  full    %14zu   %23.1f\n", fullNMax,
-                bwModel.egressBytesPerUser(static_cast<double>(fullNMax)));
-    std::printf("  delta   %14zu   %23.1f\n", deltaNMax,
-                deltaModel.egressBytesPerUser(static_cast<double>(deltaNMax)));
-    std::printf("delta n_max gain at 25 Mbit/s: %.2fx\n",
-                fullNMax > 0 ? static_cast<double>(deltaNMax) / static_cast<double>(fullNMax)
-                             : 0.0);
+  std::printf("\n# n     egress_full_KB_s   egress_delta_KB_s   reduction\n");
+  for (std::size_t i = 0; i < deltaSamples.size(); ++i) {
+    const double full = samples[i].egressBytesPerSec;
+    const double delta = deltaSamples[i].egressBytesPerSec;
+    std::printf("  %4zu   %16.1f   %17.1f   %8.2fx\n", deltaSamples[i].users, full / 1e3,
+                delta / 1e3, delta > 0 ? full / delta : 0.0);
   }
-  return 0;
+
+  const model::BandwidthModel deltaModel = model::BandwidthModel::fit(deltaSamples, "delta");
+  std::printf("\n%s", deltaModel.describe().c_str());
+
+  const model::BandwidthSample& fullTop = samples.back();
+  const model::BandwidthSample& deltaTop = deltaSamples.back();
+  const double reduction = deltaTop.egressBytesPerSec > 0
+                               ? fullTop.egressBytesPerSec / deltaTop.egressBytesPerSec
+                               : 0.0;
+  std::printf("egress reduction at steady state (n=%zu): %.2fx\n", fullTop.users, reduction);
+
+  std::printf("\n# codec   n_max@25Mbit/s   egress_B_per_user@n_max\n");
+  constexpr double kLink = 25e6 / 8;
+  const std::size_t fullNMax = bwModel.nMaxForLink(kLink);
+  const std::size_t deltaNMax = deltaModel.nMaxForLink(kLink);
+  std::printf("  full    %14zu   %23.1f\n", fullNMax,
+              bwModel.egressBytesPerUser(static_cast<double>(fullNMax)));
+  std::printf("  delta   %14zu   %23.1f\n", deltaNMax,
+              deltaModel.egressBytesPerUser(static_cast<double>(deltaNMax)));
+  std::printf("delta n_max gain at 25 Mbit/s: %.2fx\n",
+              fullNMax > 0 ? static_cast<double>(deltaNMax) / static_cast<double>(fullNMax)
+                           : 0.0);
+
+  int failures = 0;
+  failures += check("delta egress reduction at n=280 >= 2.0x", reduction >= 2.0, reduction);
+  failures += check("delta n_max at 25 Mbit/s > full n_max", deltaNMax > fullNMax,
+                    static_cast<double>(deltaNMax));
+  return failures;
 }

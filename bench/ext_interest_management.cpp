@@ -72,16 +72,12 @@ void printFormRow(const char* policy, const char* param, const SampleSeries& s,
               roia::model::formName(chosen.form));
 }
 
-int check(const char* what, bool pass, double got) {
-  std::printf("check: %-46s %s (%.2f)\n", what, pass ? "PASS" : "FAIL", got);
-  return pass ? 0 : 1;
-}
-
 }  // namespace
 
 int main() {
   roia::benchharness::TelemetryScope telemetryScope;
   using namespace roia;
+  using benchharness::check;
   using benchharness::printHeader;
 
   printHeader("Extension — interest-management algorithms vs. the model");

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Perf regression report: BENCH_wallclock.json.
 
-Collects two kinds of wall-clock evidence from a built tree:
+Collects wall-clock evidence from a built tree:
 
  1. micro benchmarks — runs bench/micro_benchmarks with google-benchmark's
-    JSON output and embeds the per-benchmark timings.
+    JSON output and embeds the per-benchmark timings. --require-aoi-speedup
+    gates on the AOI micro benchmarks: the grid query must beat the
+    Euclidean scan by the given factor at n = 300 (BM_AoiQuerySpread*).
  2. sweep benchmarks — runs each multi-config figure/extension harness twice,
     with ROIA_BENCH_THREADS=1 (exact legacy serial behaviour) and with
     ROIA_BENCH_THREADS=N, records both wall-clock times and the speedup, and
@@ -15,18 +17,11 @@ Collects two kinds of wall-clock evidence from a built tree:
     asserts the two runs produced byte-identical stdout (the zero-cost-
     observer contract), and records the wall-clock ratio into
     BENCH_obs_overhead.json. --max-overhead-ratio gates on it.
- 4. interest-management report (--interest) — runs ext_interest_management,
-    parses the per-policy t_aoi power-law exponents, model thresholds and
-    check lines into BENCH_interest.json, and fails if any check failed.
-    --require-aoi-speedup additionally gates on the AOI micro benchmarks:
-    the grid query must beat the Euclidean scan by the given factor at
-    n = 300 (BM_AoiQuerySpread*).
- 5. bandwidth report (--bandwidth) — runs ext_bandwidth under
-    ROIA_REPLICATION=delta at 1 and N threads, asserts byte-identical
-    stdout, and parses the codec comparison (measured egress reduction,
-    per-codec n_max and bytes-per-user on the 25 Mbit/s reference link)
-    into BENCH_bandwidth.json. --require-bandwidth-reduction gates on the
-    measured reduction and on delta beating full's bandwidth-limited n_max.
+
+Harnesses gate their own claims (ext_interest_management and ext_bandwidth
+exit with their count of failed `check:` lines). A harness that exits
+nonzero fails the report: no report is written, and stderr names the
+harness, its exit code and its failed checks.
 
 Only the Python standard library is used. Typical CI invocations:
 
@@ -40,7 +35,6 @@ Only the Python standard library is used. Typical CI invocations:
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -52,11 +46,24 @@ DEFAULT_SWEEPS = [
     "ext_zone_sharding",
     "ext_overload_degradation",
     "ext_interest_management",
+    "ext_bandwidth",
 ]
 
 
-class DeterminismError(RuntimeError):
-    """A sweep produced different stdout at different thread counts."""
+class HarnessError(RuntimeError):
+    """A harness run that must not be reported: a nonzero exit or unstable stdout."""
+
+
+def run_harness(binary: str, env: dict) -> bytes:
+    """Stdout of one harness run; a nonzero exit raises HarnessError."""
+    proc = subprocess.run([binary], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL)
+    if proc.returncode != 0:
+        failed = [line for line in proc.stdout.decode(errors="replace").splitlines()
+                  if line.startswith("check:") and " FAIL " in line]
+        raise HarnessError("\n".join(
+            [f"{os.path.basename(binary)} exited with code {proc.returncode}"] + failed))
+    return proc.stdout
 
 
 # Every environment knob bench_common.hpp's TelemetryScope reads; the "off"
@@ -82,18 +89,16 @@ def run_obs_overhead(build_dir: str, bench: str, repetitions: int = 3) -> dict:
         best, out = None, None
         for _ in range(repetitions):
             start = time.monotonic()
-            proc = subprocess.run([binary], check=True, env=env,
-                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            out = run_harness(binary, env)
             elapsed = time.monotonic() - start
             if best is None or elapsed < best:
                 best = elapsed
-            out = proc.stdout
         return best, out
 
     off_s, off_out = timed(off_env)
     on_s, on_out = timed(on_env)
     if off_out != on_out:
-        raise DeterminismError(
+        raise HarnessError(
             f"{bench}: stdout differs with telemetry sidecars on vs off — "
             "the zero-cost-observer contract is broken")
     return {
@@ -128,131 +133,14 @@ def run_micro(build_dir: str) -> list:
     ]
 
 
-def run_interest(build_dir: str) -> dict:
-    """BENCH_interest.json: per-IM-algorithm scaling facts.
-
-    Runs ext_interest_management once and parses its tables: the aggregate
-    t_aoi power-law fit (exponent/amplitude/R^2), the per-policy model
-    thresholds (n_max(1), 80 % trigger, l_max) and the harness's own
-    check lines. A failing check makes the harness exit nonzero, which
-    fails the report too.
-    """
-    binary = os.path.join(build_dir, "bench", "ext_interest_management")
-    env = dict(os.environ, ROIA_BENCH_THREADS="1")
-    proc = subprocess.run([binary], env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL)
-    out = proc.stdout.decode()
-
-    policies = {}
-    section = None
-    checks = []
-    for line in out.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            # Section anchors; any other comment line (e.g. the form-selection
-            # table, whose rows also lead with a policy name) ends the section.
-            if stripped.startswith("# algorithm") and "exponent" in stripped:
-                section = "power"
-            elif stripped.startswith("# algorithm") and "n_max(1)" in stripped:
-                section = "thresholds"
-            else:
-                section = None
-            continue
-        if stripped.startswith("check:"):
-            # "check: <description>  PASS|FAIL (<value>)"
-            section = None
-            body = stripped[len("check:"):].strip()
-            passed = " PASS (" in body
-            verdict = " PASS (" if passed else " FAIL ("
-            checks.append({"check": body.split(verdict)[0].strip(), "passed": passed})
-            continue
-        fields = stripped.split()
-        if section and len(fields) >= 4 and fields[0] in ("euclidean", "grid"):
-            entry = policies.setdefault(fields[0], {})
-            if section == "power":
-                entry["aoi_exponent"] = float(fields[1])
-                entry["aoi_amplitude"] = float(fields[2])
-                entry["aoi_loglog_r2"] = float(fields[3])
-            else:
-                entry["n_max_1"] = int(fields[1])
-                entry["trigger_80pct"] = int(fields[2])
-                entry["l_max"] = int(fields[3])
-    return {
-        "schema": "roia-bench-interest/1",
-        "exit_code": proc.returncode,
-        "policies": policies,
-        "checks": checks,
-    }
-
-
-def run_bandwidth(build_dir: str, threads: int) -> dict:
-    """BENCH_bandwidth.json: delta-codec egress facts.
-
-    Runs ext_bandwidth with ROIA_REPLICATION=delta at 1 and N worker
-    threads, asserts byte-identical stdout (the delta leg rides the same
-    sweep engine, so it inherits the determinism contract), and parses the
-    codec-comparison section: the measured egress reduction at the top
-    population and each codec's bandwidth-limited capacity on the
-    25 Mbit/s reference link.
-    """
-    binary = os.path.join(build_dir, "bench", "ext_bandwidth")
-
-    def run(thread_count: int) -> bytes:
-        env = dict(os.environ, ROIA_BENCH_THREADS=str(thread_count),
-                   ROIA_REPLICATION="delta")
-        proc = subprocess.run([binary], check=True, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-        return proc.stdout
-
-    serial_out = run(1)
-    identical = None
-    if threads > 1:
-        if serial_out != run(threads):
-            raise DeterminismError(
-                "ext_bandwidth: stdout differs between ROIA_BENCH_THREADS=1 "
-                f"and ={threads} under ROIA_REPLICATION=delta — the delta "
-                "codec broke per-config determinism")
-        identical = True
-
-    reduction, top_n, nmax_gain = None, None, None
-    codecs = {}
-    for line in serial_out.decode().splitlines():
-        stripped = line.strip()
-        match = re.match(
-            r"egress reduction at steady state \(n=(\d+)\): ([0-9.]+)x", stripped)
-        if match:
-            top_n, reduction = int(match.group(1)), float(match.group(2))
-            continue
-        match = re.match(r"(full|delta)\s+(\d+)\s+([0-9.]+)$", stripped)
-        if match:
-            codecs[match.group(1)] = {
-                "n_max_25mbit": int(match.group(2)),
-                "egress_bytes_per_user_at_n_max": float(match.group(3)),
-            }
-            continue
-        match = re.match(r"delta n_max gain at 25 Mbit/s: ([0-9.]+)x", stripped)
-        if match:
-            nmax_gain = float(match.group(1))
-    return {
-        "schema": "roia-bench-bandwidth/1",
-        "threads": threads,
-        "stdout_identical": identical,
-        "egress_reduction": reduction,
-        "egress_reduction_at_n": top_n,
-        "n_max_gain_25mbit": nmax_gain,
-        "codecs": codecs,
-    }
-
-
 def run_sweep(build_dir: str, bench: str, threads: int) -> dict:
     binary = os.path.join(build_dir, "bench", bench)
 
     def timed(thread_count: int):
         env = dict(os.environ, ROIA_BENCH_THREADS=str(thread_count))
         start = time.monotonic()
-        proc = subprocess.run([binary], check=True, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-        return time.monotonic() - start, proc.stdout
+        out = run_harness(binary, env)
+        return time.monotonic() - start, out
 
     serial_s, serial_out = timed(1)
     if threads <= 1:
@@ -270,7 +158,7 @@ def run_sweep(build_dir: str, bench: str, threads: int) -> dict:
         }
     parallel_s, parallel_out = timed(threads)
     if serial_out != parallel_out:
-        raise DeterminismError(
+        raise HarnessError(
             f"{bench}: stdout differs between ROIA_BENCH_THREADS=1 and "
             f"={threads} — the sweep engine broke per-config determinism")
     return {
@@ -302,24 +190,9 @@ def main() -> int:
                              "(default: <build-dir>/BENCH_obs_overhead.json)")
     parser.add_argument("--max-overhead-ratio", type=float, default=None,
                         help="fail if any telemetry-on/off ratio exceeds this")
-    parser.add_argument("--interest", action="store_true",
-                        help="run ext_interest_management and write the "
-                             "per-IM-algorithm report")
-    parser.add_argument("--interest-out", default=None,
-                        help="interest report path "
-                             "(default: <build-dir>/BENCH_interest.json)")
     parser.add_argument("--require-aoi-speedup", type=float, default=None,
                         help="fail unless the grid AOI micro benchmark beats the "
                              "Euclidean one by this factor at n=300")
-    parser.add_argument("--bandwidth", action="store_true",
-                        help="run ext_bandwidth under ROIA_REPLICATION=delta and "
-                             "write the codec-comparison report")
-    parser.add_argument("--bandwidth-out", default=None,
-                        help="bandwidth report path "
-                             "(default: <build-dir>/BENCH_bandwidth.json)")
-    parser.add_argument("--require-bandwidth-reduction", type=float, default=None,
-                        help="fail unless the delta codec reaches this egress "
-                             "reduction and a higher n_max than full")
     args = parser.parse_args()
 
     # A hostile --threads value (0, negative) means "serial only", never a
@@ -340,10 +213,6 @@ def main() -> int:
     needed = [] if args.skip_micro else [os.path.join(args.build_dir, "bench", "micro_benchmarks")]
     needed += [os.path.join(args.build_dir, "bench", bench)
                for bench in list(args.sweeps) + list(args.obs_overhead)]
-    if args.interest:
-        needed.append(os.path.join(args.build_dir, "bench", "ext_interest_management"))
-    if args.bandwidth:
-        needed.append(os.path.join(args.build_dir, "bench", "ext_bandwidth"))
     missing = [path for path in needed if not os.path.isfile(path)]
     if missing:
         for path in missing:
@@ -364,10 +233,10 @@ def main() -> int:
     for bench in args.sweeps:
         try:
             result = run_sweep(args.build_dir, bench, args.threads)
-        except DeterminismError as err:
-            # No report is written: a byte-compare failure means the numbers
-            # are untrustworthy, and a partial JSON would look like success
-            # to downstream tooling.
+        except HarnessError as err:
+            # No report is written: a byte-compare or harness-check failure
+            # means the numbers are untrustworthy, and a partial JSON would
+            # look like success to downstream tooling.
             print(f"ERROR: {err}", file=sys.stderr)
             return 1
         report["sweeps"].append(result)
@@ -399,7 +268,7 @@ def main() -> int:
         for bench in args.obs_overhead:
             try:
                 result = run_obs_overhead(args.build_dir, bench)
-            except DeterminismError as err:
+            except HarnessError as err:
                 print(f"ERROR: {err}", file=sys.stderr)
                 return 1
             overhead_report["benches"].append(result)
@@ -424,66 +293,6 @@ def main() -> int:
                 return 1
             print(f"worst telemetry overhead {worst}x <= "
                   f"{args.max_overhead_ratio}x: OK")
-
-    if args.interest:
-        interest_report = run_interest(args.build_dir)
-        interest_path = args.interest_out or os.path.join(
-            args.build_dir, "BENCH_interest.json")
-        tmp_path = interest_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as f:
-            json.dump(interest_report, f, indent=2)
-            f.write("\n")
-        os.replace(tmp_path, interest_path)
-        for policy, facts in sorted(interest_report["policies"].items()):
-            print(f"{policy}: t_aoi ~ n^{facts.get('aoi_exponent')}, "
-                  f"n_max(1) = {facts.get('n_max_1')}")
-        print(f"wrote {interest_path} ({len(interest_report['policies'])} policies, "
-              f"{len(interest_report['checks'])} checks)")
-        failed = [c["check"] for c in interest_report["checks"] if not c["passed"]]
-        if interest_report["exit_code"] != 0 or failed:
-            for name in failed:
-                print(f"FAIL: interest check failed: {name}", file=sys.stderr)
-            print(f"FAIL: ext_interest_management exit code "
-                  f"{interest_report['exit_code']}", file=sys.stderr)
-            return 1
-
-    if args.bandwidth:
-        try:
-            bandwidth_report = run_bandwidth(args.build_dir, args.threads)
-        except DeterminismError as err:
-            print(f"ERROR: {err}", file=sys.stderr)
-            return 1
-        bandwidth_path = args.bandwidth_out or os.path.join(
-            args.build_dir, "BENCH_bandwidth.json")
-        tmp_path = bandwidth_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as f:
-            json.dump(bandwidth_report, f, indent=2)
-            f.write("\n")
-        os.replace(tmp_path, bandwidth_path)
-        print(f"delta egress reduction {bandwidth_report['egress_reduction']}x "
-              f"at n={bandwidth_report['egress_reduction_at_n']}, "
-              f"n_max gain {bandwidth_report['n_max_gain_25mbit']}x at 25 Mbit/s")
-        print(f"wrote {bandwidth_path} ({len(bandwidth_report['codecs'])} codecs)")
-        if args.require_bandwidth_reduction is not None:
-            reduction = bandwidth_report["egress_reduction"]
-            codecs = bandwidth_report["codecs"]
-            if reduction is None or "full" not in codecs or "delta" not in codecs:
-                print("ERROR: ext_bandwidth output missing the codec comparison "
-                      "(was it built with the delta leg?)", file=sys.stderr)
-                return 1
-            if reduction < args.require_bandwidth_reduction:
-                print(f"FAIL: delta egress reduction {reduction}x < required "
-                      f"{args.require_bandwidth_reduction}x", file=sys.stderr)
-                return 1
-            if codecs["delta"]["n_max_25mbit"] <= codecs["full"]["n_max_25mbit"]:
-                print(f"FAIL: delta n_max {codecs['delta']['n_max_25mbit']} does not "
-                      f"beat full n_max {codecs['full']['n_max_25mbit']} "
-                      "on the 25 Mbit/s link", file=sys.stderr)
-                return 1
-            print(f"delta egress reduction {reduction}x >= "
-                  f"{args.require_bandwidth_reduction}x and n_max "
-                  f"{codecs['delta']['n_max_25mbit']} > "
-                  f"{codecs['full']['n_max_25mbit']}: OK")
 
     if args.require_aoi_speedup is not None:
         if args.skip_micro:

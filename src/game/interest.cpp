@@ -142,7 +142,7 @@ void GridInterest::relocate(std::uint32_t slot, std::uint32_t toCell) {
 
 void GridInterest::prepare(const rtf::World& world, rtf::CostMeter& meter) {
   const std::size_t n = world.size();
-  if (!valid_ || epoch_ != world.structuralEpoch()) {
+  if (stale(world)) {
     rebuild(world);
     meter.charge(costs_.rebuildPerEntityCost * static_cast<double>(n));
     return;
@@ -172,7 +172,7 @@ void GridInterest::query(const rtf::World& world, rtf::ConstEntityRef viewer, do
                          rtf::CostMeter& meter, std::vector<std::uint32_t>& visible) {
   visible.clear();
   double cost = 0.0;
-  if (!valid_ || epoch_ != world.structuralEpoch()) {
+  if (stale(world)) {
     // Entities arrived or left after prepare (e.g. migration arrivals land
     // between tick begin and the AOI pass): rebuild lazily, charged here.
     rebuild(world);
@@ -219,7 +219,7 @@ void GridInterest::query(const rtf::World& world, rtf::ConstEntityRef viewer, do
 
 std::size_t GridInterest::scanCandidates(const rtf::World& world, Vec2 center,
                                          double radius) const {
-  if (!valid_ || epoch_ != world.structuralEpoch()) return world.size();
+  if (stale(world)) return world.size();
   const double radiusSq = radius * radius;
   const double ccx =
       std::clamp(center.x, originX_, originX_ + cellSize_ * static_cast<double>(cols_));

@@ -26,7 +26,11 @@
 // Thread-model note: one policy instance may serve several servers because
 // the simulation executes each server tick as one atomic event; prepare()
 // is called at the start of a tick and queries only happen within that same
-// tick.
+// tick. A shared grid sees each replica's world in turn, and structural
+// epochs are per world: two worlds can reach the same epoch with different
+// slot counts. So the grid also treats its layout as stale when the slot
+// count differs; at equal counts prepare()'s incremental sweep re-files
+// every slot from the live positions, so the layout is exact either way.
 #pragma once
 
 #include <cstddef>
@@ -136,6 +140,12 @@ class GridInterest final : public InterestPolicy {
  private:
   static constexpr std::size_t kMaxAxisCells = 1024;
 
+  /// Whether the layout cannot serve `world` as it stands: never built,
+  /// built before the world's last spawn or despawn, or built for a world
+  /// with a different slot count (see the thread-model note).
+  [[nodiscard]] bool stale(const rtf::World& world) const {
+    return !valid_ || epoch_ != world.structuralEpoch() || cellOf_.size() != world.size();
+  }
   void rebuild(const rtf::World& world);
   void relocate(std::uint32_t slot, std::uint32_t toCell);
   [[nodiscard]] std::uint32_t cellIndexOf(Vec2 p) const;

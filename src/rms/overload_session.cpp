@@ -187,25 +187,9 @@ OverloadSessionSummary runOverloadSession(const OverloadSessionConfig& config) {
   summary.drainFallbacks = manager.drainFallbacks();
   summary.migrationsOrdered = manager.migrationsOrderedTotal();
 
-  // Conservation audit (same semantics as the sharded harness): every
-  // connected client owns exactly one active avatar; a freshly in-flight
-  // migration — source still holds the session plus the signed-over record —
-  // is that client's one logical copy, not a loss.
-  for (const ClientId client : cluster.clientIds()) {
-    std::size_t active = 0;
-    bool inTransit = false;
-    for (const ServerId id : cluster.serverIds()) {
-      const rtf::Server& server = cluster.server(id);
-      if (server.crashed()) continue;
-      server.world().forEach([&](rtf::ConstEntityRef e) {
-        if (e.client != client) return;
-        if (e.owner == id) ++active;
-        else if (server.hasClient(client)) inTransit = true;
-      });
-    }
-    if (active == 0 && !inTransit) ++summary.missingAvatars;
-    if (active > 1) summary.duplicateAvatars += active - 1;
-  }
+  const rtf::Cluster::ConservationAudit audit = cluster.auditConservation();
+  summary.missingAvatars = audit.missingAvatars;
+  summary.duplicateAvatars = audit.duplicateAvatars;
   return summary;
 }
 

@@ -116,8 +116,7 @@ struct OverloadSessionSummary {
   std::uint64_t drainFallbacks{0};
   std::uint64_t migrationsOrdered{0};
 
-  // Entity conservation at session end (in-transit-aware; see the sharded
-  // harness for the audit semantics).
+  // Entity conservation at session end (rtf::Cluster::auditConservation).
   std::size_t duplicateAvatars{0};
   std::size_t missingAvatars{0};
 

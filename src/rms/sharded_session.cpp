@@ -78,27 +78,12 @@ ShardedSessionSummary runShardedSession(const ShardedSessionConfig& config) {
     summary.borderShadows += server.monitoring().borderShadows;
   }
 
-  // Conservation: each connected client owns exactly one active avatar
-  // across the whole cluster (owner == hosting server). Bots keep roaming
-  // during the settle window, so a handoff can be freshly in flight at the
-  // audit instant; the in-transit state — the source still holds the client
-  // session plus the signed-over record awaiting the target's ack — is that
-  // client's one logical copy, not a loss.
-  for (const ClientId client : cluster.clientIds()) {
-    std::size_t active = 0;
-    bool inTransit = false;
-    for (const ServerId id : cluster.serverIds()) {
-      const rtf::Server& server = cluster.server(id);
-      if (server.crashed()) continue;
-      server.world().forEach([&](rtf::ConstEntityRef e) {
-        if (e.client != client) return;
-        if (e.owner == id) ++active;
-        else if (server.hasClient(client)) inTransit = true;
-      });
-    }
-    if (active == 0 && !inTransit) ++summary.missingAvatars;
-    if (active > 1) summary.duplicateAvatars += active - 1;
-  }
+  // Bots keep roaming during the settle window, so a handoff can be freshly
+  // in flight at the audit instant; the audit counts it as the client's one
+  // logical copy.
+  const rtf::Cluster::ConservationAudit audit = cluster.auditConservation();
+  summary.missingAvatars = audit.missingAvatars;
+  summary.duplicateAvatars = audit.duplicateAvatars;
   return summary;
 }
 

@@ -61,7 +61,8 @@ struct ShardedSessionSummary {
   std::uint64_t borderShadows{0};
 
   // Entity conservation at session end: every connected client must own
-  // exactly one active avatar across all servers.
+  // exactly one active avatar across all servers
+  // (rtf::Cluster::auditConservation).
   std::size_t duplicateAvatars{0};
   std::size_t missingAvatars{0};
 

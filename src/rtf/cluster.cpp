@@ -339,6 +339,34 @@ std::vector<ServerId> Cluster::crashedServers() const {
   return ids;
 }
 
+Cluster::ConservationAudit Cluster::auditConservation() const {
+  // One pass over the live worlds tallies each connected client's copies.
+  struct Copies {
+    std::size_t active{0};
+    bool inTransit{false};
+  };
+  std::map<ClientId, Copies> copies;
+  for (const auto& [client, endpoint] : clients_) {
+    copies.emplace_hint(copies.end(), client, Copies{});
+  }
+  for (const auto& [id, owned] : servers_) {
+    const Server& server = *owned;
+    if (server.crashed()) continue;
+    server.world().forEach([&](ConstEntityRef e) {
+      const auto it = copies.find(e.client);
+      if (it == copies.end()) return;
+      if (e.owner == server.id()) ++it->second.active;
+      else if (server.hasClient(e.client)) it->second.inTransit = true;
+    });
+  }
+  ConservationAudit audit;
+  for (const auto& [client, c] : copies) {
+    if (c.active == 0 && !c.inTransit) ++audit.missingAvatars;
+    if (c.active > 1) audit.duplicateAvatars += c.active - 1;
+  }
+  return audit;
+}
+
 Cluster::RecoveryReport Cluster::recoverCrashedServer(ServerId id) {
   auto it = servers_.find(id);
   if (it == servers_.end()) throw std::invalid_argument("recoverCrashedServer: unknown server");

@@ -142,6 +142,17 @@ class Cluster {
   /// Which server currently serves the client (tracks migrations).
   [[nodiscard]] ServerId clientServer(ClientId id) const { return clientServer_.at(id); }
 
+  /// Entity conservation over the live (non-crashed) replicas: every
+  /// connected client owns exactly one active avatar (owner == hosting
+  /// server). A hand-over in flight at the audit instant — the source still
+  /// holds the client session plus the signed-over record awaiting the
+  /// target's ack — is that client's one logical copy, not a loss.
+  struct ConservationAudit {
+    std::size_t missingAvatars{0};    ///< clients with neither an active nor an in-transit copy
+    std::size_t duplicateAvatars{0};  ///< active copies beyond each client's first
+  };
+  [[nodiscard]] ConservationAudit auditConservation() const;
+
   /// The telemetry context in effect (config override or active global);
   /// nullptr when telemetry is off.
   [[nodiscard]] obs::Telemetry* telemetry() const { return telemetry_; }

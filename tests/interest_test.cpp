@@ -244,6 +244,34 @@ TEST(InterestTest, FpsApplicationSwapsPolicies) {
   EXPECT_EQ(visible, fromEuclid);
 }
 
+TEST(InterestTest, SharedGridRebuildsForAnotherWorldAtTheSameEpoch) {
+  // One GridInterest serves every replica of a zone, and structural epochs
+  // are per world. World a (30 spawns, 20 removes) and world b (50 spawns)
+  // both sit at epoch 50 with different slot counts: a layout built for one
+  // must not be patched incrementally for the other.
+  Fixture a;
+  a.populate(30, 7);
+  for (std::uint64_t id = 1; id <= 20; ++id) a.world.remove(EntityId{id});
+  Fixture b;
+  b.populate(50, 8);
+  ASSERT_EQ(a.world.structuralEpoch(), b.world.structuralEpoch());
+  ASSERT_NE(a.world.size(), b.world.size());
+
+  constexpr double kRadius = 220.0;
+  for (const bool smallerFirst : {true, false}) {
+    Fixture& first = smallerFirst ? a : b;
+    Fixture& second = smallerFirst ? b : a;
+    GridInterest grid(kRadius);
+    EuclideanInterest euclid;
+    grid.prepare(first.world, first.meter);
+    grid.prepare(second.world, second.meter);
+    second.world.forEach([&](rtf::ConstEntityRef viewer) {
+      ASSERT_EQ(queryOf(euclid, second, viewer, kRadius), queryOf(grid, second, viewer, kRadius))
+          << "viewer " << viewer.id.value << (smallerFirst ? " (a then b)" : " (b then a)");
+    });
+  }
+}
+
 TEST(InterestTest, EmptyWorldQueriesAreSafe) {
   Fixture f;
   rtf::EntityRecord lonely;

@@ -230,6 +230,35 @@ TEST(ClusterTest, DisconnectRemovesEverywhere) {
   EXPECT_EQ(f.cluster.clientCount(), 0u);
 }
 
+TEST(ClusterTest, ConservationAuditCountsDuplicateAndMissingAvatars) {
+  Fixture f;
+  const ServerId a = f.cluster.addServer(f.zone);
+  const ServerId b = f.cluster.addServer(f.zone);
+  const ClientId onA = f.cluster.connectClientTo(a, std::make_unique<BotProvider>());
+  const ClientId onB = f.cluster.connectClientTo(b, std::make_unique<BotProvider>());
+  f.cluster.run(SimDuration::seconds(1));
+  Cluster::ConservationAudit audit = f.cluster.auditConservation();
+  EXPECT_EQ(audit.duplicateAvatars, 0u);
+  EXPECT_EQ(audit.missingAvatars, 0u);
+
+  // b takes ownership of its shadow of a's avatar: two active copies.
+  EntityRecord copy;
+  copy.id = f.cluster.client(onA).avatar();
+  copy.zone = f.zone;
+  copy.owner = b;
+  copy.client = onA;
+  f.cluster.server(b).world().upsert(copy);
+  audit = f.cluster.auditConservation();
+  EXPECT_EQ(audit.duplicateAvatars, 1u);
+  EXPECT_EQ(audit.missingAvatars, 0u);
+
+  // b drops its own avatar: only a's shadow of it is left.
+  ASSERT_TRUE(f.cluster.server(b).world().remove(f.cluster.client(onB).avatar()));
+  audit = f.cluster.auditConservation();
+  EXPECT_EQ(audit.duplicateAvatars, 1u);
+  EXPECT_EQ(audit.missingAvatars, 1u);
+}
+
 TEST(ClusterTest, RemoveServerRequiresNoUsers) {
   Fixture f;
   const ServerId a = f.cluster.addServer(f.zone);
