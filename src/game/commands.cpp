@@ -1,6 +1,6 @@
 #include "game/commands.hpp"
 
-#include "serialize/byte_buffer.hpp"
+#include "serialize/wire.hpp"
 
 namespace roia::game {
 namespace {
@@ -48,19 +48,18 @@ CommandBatch decodeCommands(std::span<const std::uint8_t> bytes) {
   return batch;
 }
 
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, Interaction> interaction) {
+  io.u8(interaction.kind);
+  io.f64(interaction.damage);
+}
+
 std::vector<std::uint8_t> encodeInteraction(const Interaction& interaction) {
-  ser::ByteWriter writer(12);
-  writer.writeU8(static_cast<std::uint8_t>(interaction.kind));
-  writer.writeF64(interaction.damage);
-  return std::move(writer).take();
+  return ser::encodeWire(interaction, 12);
 }
 
 Interaction decodeInteraction(std::span<const std::uint8_t> bytes) {
-  ser::ByteReader reader(bytes);
-  Interaction interaction;
-  interaction.kind = static_cast<Interaction::Kind>(reader.readU8());
-  interaction.damage = reader.readF64();
-  return interaction;
+  return ser::decodeWire<Interaction>(bytes);
 }
 
 }  // namespace roia::game

@@ -134,9 +134,6 @@ class GridInterest final : public InterestPolicy {
   [[nodiscard]] std::size_t scanCandidates(const rtf::World& world, Vec2 center,
                                            double radius) const override;
 
-  /// Cells in the current grid rect (allocated, not merely occupied).
-  [[nodiscard]] std::size_t cellCount() const { return cols_ * rows_; }
-
  private:
   static constexpr std::size_t kMaxAxisCells = 1024;
 

@@ -1,25 +1,23 @@
 #include "game/player_stats.hpp"
 
-#include "serialize/byte_buffer.hpp"
+#include "serialize/wire.hpp"
 
 namespace roia::game {
 
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, PlayerStats> stats) {
+  io.var(stats.kills);
+  io.var(stats.deaths);
+  io.var(stats.score);
+}
+
 std::vector<std::uint8_t> encodeStats(const PlayerStats& stats) {
-  ser::ByteWriter writer(12);
-  writer.writeVarU64(stats.kills);
-  writer.writeVarU64(stats.deaths);
-  writer.writeVarU64(stats.score);
-  return std::move(writer).take();
+  return ser::encodeWire(stats, 12);
 }
 
 PlayerStats decodeStats(std::span<const std::uint8_t> bytes) {
-  PlayerStats stats;
-  if (bytes.empty()) return stats;
-  ser::ByteReader reader(bytes);
-  stats.kills = static_cast<std::uint32_t>(reader.readVarU64());
-  stats.deaths = static_cast<std::uint32_t>(reader.readVarU64());
-  stats.score = reader.readVarU64();
-  return stats;
+  if (bytes.empty()) return PlayerStats{};
+  return ser::decodeWire<PlayerStats>(bytes);
 }
 
 }  // namespace roia::game

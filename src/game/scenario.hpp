@@ -85,15 +85,12 @@ class ChurnDriver {
   void start();
   void stop();
 
-  [[nodiscard]] std::size_t currentUsers() const { return cluster_.clientCount(); }
   [[nodiscard]] std::uint64_t totalJoins() const { return joins_; }
   [[nodiscard]] std::uint64_t totalLeaves() const { return leaves_; }
   /// Joins refused by the cluster's admission gate.
   [[nodiscard]] std::uint64_t totalVetoedJoins() const { return joinsVetoed_; }
   /// Join waves re-attempted after a backoff window expired.
   [[nodiscard]] std::uint64_t totalJoinRetries() const { return joinRetries_; }
-  /// End of the current backoff window; zero when not backing off.
-  [[nodiscard]] SimTime backoffUntil() const { return backoffUntil_; }
 
  private:
   bool step(SimTime now);

@@ -1,53 +1,33 @@
 #include "game/state_update.hpp"
 
-#include "serialize/byte_buffer.hpp"
+#include "serialize/wire.hpp"
 
 namespace roia::game {
-namespace {
 
-void writeVisible(ser::ByteWriter& writer, const VisibleEntity& e) {
-  writer.writeVarU64(e.id.value);
-  writer.writeF32(e.x);
-  writer.writeF32(e.y);
-  writer.writeF32(e.health);
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, VisibleEntity> e) {
+  io.var(e.id.value);
+  io.f32(e.x);
+  io.f32(e.y);
+  io.f32(e.health);
 }
 
-VisibleEntity readVisible(ser::ByteReader& reader) {
-  VisibleEntity e;
-  e.id = EntityId{reader.readVarU64()};
-  e.x = reader.readF32();
-  e.y = reader.readF32();
-  e.health = reader.readF32();
-  return e;
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, StateUpdatePayload> payload) {
+  wire(io, payload.self);
+  io.list(payload.visible, [&](auto& e) { wire(io, e); });
 }
-
-}  // namespace
 
 void encodeStateUpdate(const StateUpdatePayload& payload, std::vector<std::uint8_t>& out) {
   ser::ByteWriter writer(std::move(out));
   writer.reserve(16 + payload.visible.size() * 16);
-  writeVisible(writer, payload.self);
-  writer.writeVarU64(payload.visible.size());
-  for (const VisibleEntity& e : payload.visible) writeVisible(writer, e);
+  ser::WireOut io(writer);
+  wire(io, payload);
   out = std::move(writer).take();
 }
 
 StateUpdatePayload decodeStateUpdate(std::span<const std::uint8_t> bytes) {
-  ser::ByteReader reader(bytes);
-  StateUpdatePayload payload;
-  payload.self = readVisible(reader);
-  const std::uint64_t count = reader.readVarU64();
-  // Each record occupies multiple bytes; a count beyond the remaining input
-  // is malformed and must not drive a huge allocation.
-  if (count > reader.remaining()) throw ser::DecodeError("implausible visible count");
-  payload.visible.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) payload.visible.push_back(readVisible(reader));
-  return payload;
-}
-
-std::size_t approxVisibleEntityBytes() {
-  // varint id (~2-4 bytes) + three f32 fields.
-  return 3 + 12;
+  return ser::decodeWire<StateUpdatePayload>(bytes);
 }
 
 }  // namespace roia::game

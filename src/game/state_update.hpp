@@ -29,7 +29,4 @@ struct StateUpdatePayload {
 void encodeStateUpdate(const StateUpdatePayload& payload, std::vector<std::uint8_t>& out);
 [[nodiscard]] StateUpdatePayload decodeStateUpdate(std::span<const std::uint8_t> bytes);
 
-/// Encoded size of one visible-entity record, used by cost accounting tests.
-[[nodiscard]] std::size_t approxVisibleEntityBytes();
-
 }  // namespace roia::game

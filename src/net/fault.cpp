@@ -5,14 +5,6 @@
 
 namespace roia::net {
 
-void FaultInjector::setLinkFaults(NodeId from, NodeId to, FaultParams params) {
-  linkFaults_[linkKey(from, to)] = params;
-}
-
-void FaultInjector::clearLinkFaults(NodeId from, NodeId to) {
-  linkFaults_.erase(linkKey(from, to));
-}
-
 void FaultInjector::partition(std::string name, const std::vector<NodeId>& nodes, SimTime start,
                               SimTime end) {
   Partition p;
@@ -54,13 +46,7 @@ std::vector<FaultInjector::Preemption> FaultInjector::claimDuePreemptions(SimTim
     ++it;
   }
   preemptions_.erase(preemptions_.begin(), it);
-  preemptionsClaimed_ += due.size();
   return due;
-}
-
-const FaultParams& FaultInjector::paramsFor(NodeId from, NodeId to) const {
-  auto it = linkFaults_.find(linkKey(from, to));
-  return it == linkFaults_.end() ? defaultFaults_ : it->second;
 }
 
 void FaultInjector::setMetrics(obs::MetricsRegistry* registry) {
@@ -94,7 +80,7 @@ FaultInjector::Verdict FaultInjector::judge(NodeId from, NodeId to, SimTime now)
     return verdict;  // consumes no randomness: partitions are time-driven
   }
 
-  const FaultParams& params = paramsFor(from, to);
+  const FaultParams& params = defaultFaults_;
   if (params.inert()) return verdict;  // fault-free links perturb nothing
 
   if (params.dropProbability > 0.0 && rng_.chance(params.dropProbability)) {

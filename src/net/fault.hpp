@@ -13,7 +13,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -23,7 +22,7 @@
 
 namespace roia::net {
 
-/// Fault characteristics of a directed link (or the whole network).
+/// Fault characteristics applied to every link of the network.
 struct FaultParams {
   /// Probability that a frame is silently lost.
   double dropProbability{0.0};
@@ -66,11 +65,8 @@ class FaultInjector {
 
   explicit FaultInjector(std::uint64_t seed) : rng_(seed) {}
 
-  /// Faults applied to links without an explicit override.
+  /// Faults applied to every link.
   void setDefaultFaults(FaultParams params) { defaultFaults_ = params; }
-  /// Overrides faults for the directed link from -> to.
-  void setLinkFaults(NodeId from, NodeId to, FaultParams params);
-  void clearLinkFaults(NodeId from, NodeId to);
 
   /// Declares a named partition: between `start` (inclusive) and `end`
   /// (exclusive) every frame crossing between `group` and the rest of the
@@ -108,8 +104,6 @@ class FaultInjector {
   /// Removes and returns every preemption whose notice time has arrived,
   /// ordered by (notice, server) so consumers act deterministically.
   [[nodiscard]] std::vector<Preemption> claimDuePreemptions(SimTime now);
-  [[nodiscard]] std::size_t pendingPreemptions() const { return preemptions_.size(); }
-  [[nodiscard]] std::uint64_t preemptionsClaimed() const { return preemptionsClaimed_; }
 
   /// Mirrors injector activity into counters (roia_fault_*_total); nullptr
   /// detaches. Consumes no randomness, so attaching telemetry never
@@ -123,20 +117,13 @@ class FaultInjector {
     SimTime end;
   };
 
-  static std::uint64_t linkKey(NodeId from, NodeId to) {
-    return (from.value << 32) | (to.value & 0xFFFFFFFFULL);
-  }
-  [[nodiscard]] const FaultParams& paramsFor(NodeId from, NodeId to) const;
-
   Rng rng_;
   FaultParams defaultFaults_{};
-  std::unordered_map<std::uint64_t, FaultParams> linkFaults_;  // lookup only, never iterated
   // Ordered by name: isPartitioned() walks this on the frame-judging path
   // that also drives the seeded RNG, so iteration order must be stable.
   std::map<std::string, Partition> partitions_;
   /// Pending preemption notices, kept sorted by (notice, server).
   std::vector<Preemption> preemptions_;
-  std::uint64_t preemptionsClaimed_{0};
   FaultStats stats_;
 
   /// Cached instrument pointers (registry references are stable).

@@ -148,11 +148,6 @@ const Counter* MetricsRegistry::findCounter(std::string_view name, const Labels&
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* MetricsRegistry::findGauge(std::string_view name, const Labels& labels) const {
-  const auto it = gauges_.find(makeKey(name, labels));
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 const LogHistogram* MetricsRegistry::findHistogram(std::string_view name,
                                                    const Labels& labels) const {
   const auto it = histograms_.find(makeKey(name, labels));

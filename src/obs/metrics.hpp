@@ -124,7 +124,6 @@ class MetricsRegistry {
 
   /// Lookup without creating; nullptr when the instrument does not exist.
   [[nodiscard]] const Counter* findCounter(std::string_view name, const Labels& labels = {}) const;
-  [[nodiscard]] const Gauge* findGauge(std::string_view name, const Labels& labels = {}) const;
   [[nodiscard]] const LogHistogram* findHistogram(std::string_view name,
                                                   const Labels& labels = {}) const;
 

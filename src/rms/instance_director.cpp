@@ -1,22 +1,9 @@
 #include "rms/instance_director.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace roia::rms {
-
-InstanceDirector::Config InstanceDirector::Config::fromReport(
-    const model::ThresholdReport& report, std::size_t replicasPerInstance) {
-  Config config;
-  config.replicasPerInstance = std::max<std::size_t>(1, replicasPerInstance);
-  const std::size_t l = std::min(config.replicasPerInstance, report.nMaxPerReplica.size());
-  const std::size_t nMaxAtL = l > 0 ? report.nMaxPerReplica[l - 1] : 0;
-  config.usersPerInstanceCap = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::floor(report.triggerFraction * static_cast<double>(nMaxAtL))));
-  return config;
-}
 
 InstanceDirector::InstanceDirector(rtf::Cluster& cluster, ZoneId templateZone, Config config)
     : cluster_(cluster), templateZone_(templateZone), config_(config) {

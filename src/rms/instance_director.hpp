@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "model/report.hpp"
 #include "rtf/cluster.hpp"
 
 namespace roia::rms {
@@ -26,12 +25,6 @@ class InstanceDirector {
     std::size_t usersPerInstanceCap{190};
     /// Servers provisioned for each fresh instance.
     std::size_t replicasPerInstance{1};
-
-    /// Model-derived capacity: the replication trigger of the report at
-    /// `replicasPerInstance` replicas, i.e. triggerFraction * n_max(l).
-    /// An instance then opens exactly when in-place replication would.
-    [[nodiscard]] static Config fromReport(const model::ThresholdReport& report,
-                                           std::size_t replicasPerInstance = 1);
   };
 
   /// `templateZone` must already have at least one server; it doubles as

@@ -71,8 +71,7 @@ ServerId Cluster::addServer(ZoneId zone, double speedFactor) {
   serverConfig.cpu.noiseSeed = 0x5eed0000ULL + id.value;
   auto server = std::make_unique<Server>(id, zone, app_, sim_, net_, serverConfig,
                                          rng_.split(0xA000 + id.value));
-  server->setMigrationCompleteFn([this](ClientId client, ServerId from, ServerId to) {
-    (void)from;
+  server->setHandOverCompleteFn([this](ClientId client, ServerId to) {
     auto it = clients_.find(client);
     if (it == clients_.end()) return;
     auto serverIt = servers_.find(to);
@@ -80,17 +79,6 @@ ServerId Cluster::addServer(ZoneId zone, double speedFactor) {
     it->second->setServer(to, serverIt->second->node());
     clientServer_[client] = to;
   });
-  server->setZoneHandoffCompleteFn(
-      [this](ClientId client, ServerId from, ServerId to, ZoneId toZone) {
-        (void)from;
-        (void)toZone;
-        auto it = clients_.find(client);
-        if (it == clients_.end()) return;
-        auto serverIt = servers_.find(to);
-        if (serverIt == servers_.end()) return;
-        it->second->setServer(to, serverIt->second->node());
-        clientServer_[client] = to;
-      });
   server->setHandoffAdmission([this](ServerId source) {
     auto it = servers_.find(source);
     return it != servers_.end() && !it->second->crashed();
@@ -328,15 +316,6 @@ void Cluster::crashServer(ServerId id) {
   // client endpoints all still reference the dead replica, exactly as a real
   // deployment would until a failure detector fires.
   it->second->crash();
-}
-
-std::vector<ServerId> Cluster::crashedServers() const {
-  std::vector<ServerId> ids;
-  ids.reserve(servers_.size());
-  for (const auto& [id, server] : servers_) {
-    if (server->crashed()) ids.push_back(id);
-  }
-  return ids;
 }
 
 Cluster::ConservationAudit Cluster::auditConservation() const {

@@ -179,8 +179,6 @@ class Cluster {
   /// still list it, its clients keep sending into the void. Nothing reacts
   /// until a failure detector notices (or recoverCrashedServer is called).
   void crashServer(ServerId id);
-  /// Servers that crashed and have not been recovered yet.
-  [[nodiscard]] std::vector<ServerId> crashedServers() const;
 
   /// Management-plane recovery of a dead replica: removes it from the zone
   /// directory and peer sets, aborts hand-overs targeting it, re-homes each

@@ -1,261 +1,194 @@
 #include "rtf/messages.hpp"
 
+#include "serialize/wire.hpp"
+
 namespace roia::rtf {
-namespace {
 
-ser::Frame makeFrame(ser::MessageType type, ser::ByteWriter&& writer) {
-  ser::Frame frame;
-  frame.type = type;
-  frame.payload = std::move(writer).take();
-  return frame;
-}
+// One field walker per message, in wire order (serialize/wire.hpp).
+// roia-lint's serialization-coverage rule requires every declared field of
+// each *Msg struct to appear in its walker.
 
-void expectType(const ser::Frame& frame, ser::MessageType type) {
-  if (frame.type != type) throw ser::DecodeError("unexpected frame type");
-}
-
-}  // namespace
-
-ser::Frame encode(const ClientInputMsg& msg) {
-  ser::ByteWriter writer(16 + msg.commands.size());
-  writer.writeVarU64(msg.client.value);
-  writer.writeVarU64(msg.clientTick);
-  writer.writeBytes(msg.commands);
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, ClientInputMsg> msg) {
+  io.var(msg.client.value);
+  io.var(msg.clientTick);
+  io.bytes(msg.commands);
   // Optional trailing ack: absent when zero, so full-codec frames keep the
   // exact legacy byte image.
-  if (msg.viewAck != 0) writer.writeVarU64(msg.viewAck);
-  return makeFrame(ser::MessageType::kClientInput, std::move(writer));
+  io.tailVar(msg.viewAck);
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, ForwardedInputMsg> msg) {
+  io.var(msg.target.value);
+  io.var(msg.source.value);
+  io.bytes(msg.interaction);
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, EntityReplicationMsg> msg) {
+  io.var(msg.serverTick);
+  io.list(msg.entities, [&](auto& snapshot) { wire(io, snapshot); });
+  io.list(msg.removed, [&](auto& id) { io.var(id.value); });
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, MigrationDataMsg> msg) {
+  io.var(msg.client.value);
+  io.var(msg.clientNode.value);
+  wire(io, msg.entity);
+  io.bytes(msg.appState);
+  io.var(msg.source.value);
+  io.var(msg.traceId);
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, MigrationAckMsg> msg) {
+  io.var(msg.client.value);
+  io.var(msg.entity.value);
+  io.var(msg.newOwner.value);
+  io.var(msg.traceId);
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, ZoneHandoffMsg> msg) {
+  io.var(msg.client.value);
+  io.var(msg.clientNode.value);
+  io.var(msg.fromZone.value);
+  io.var(msg.toZone.value);
+  wire(io, msg.entity);
+  io.bytes(msg.appState);
+  io.var(msg.source.value);
+  io.var(msg.sourceNode.value);
+  io.var(msg.traceId);
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, ZoneHandoffAckMsg> msg) {
+  io.var(msg.client.value);
+  io.var(msg.entity.value);
+  io.var(msg.newOwner.value);
+  io.var(msg.newZone.value);
+  io.var(msg.version);
+  io.var(msg.traceId);
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, BorderSyncMsg> msg) {
+  io.var(msg.serverTick);
+  io.var(msg.zone.value);
+  io.var(msg.source.value);
+  io.list(msg.entities, [&](auto& snapshot) { wire(io, snapshot); });
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, HeartbeatMsg> msg) {
+  io.var(msg.server.value);
+  io.var(msg.seq);
+  io.svar(msg.sentAt.micros);
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, ViewReplicationMsg> msg) {
+  io.var(msg.serverTick);
+  io.var(msg.source.value);
+  io.bytes(msg.view);
+}
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, ReplicationAckMsg> msg) {
+  io.var(msg.acker.value);
+  io.var(msg.tick);
+}
+
+using ser::MessageType;
+
+ser::Frame encode(const ClientInputMsg& msg) {
+  return ser::encodeWireFrame(MessageType::kClientInput, msg, 16 + msg.commands.size());
 }
 
 ClientInputMsg decodeClientInput(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kClientInput);
-  ser::ByteReader reader(frame.payload);
-  ClientInputMsg msg;
-  msg.client = ClientId{reader.readVarU64()};
-  msg.clientTick = reader.readVarU64();
-  msg.commands = reader.readBytes();
-  if (!reader.atEnd()) msg.viewAck = reader.readVarU64();
-  return msg;
+  return ser::decodeWireFrame<ClientInputMsg>(frame, MessageType::kClientInput);
 }
 
 ser::Frame encode(const ForwardedInputMsg& msg) {
-  ser::ByteWriter writer(20 + msg.interaction.size());
-  writer.writeVarU64(msg.target.value);
-  writer.writeVarU64(msg.source.value);
-  writer.writeBytes(msg.interaction);
-  return makeFrame(ser::MessageType::kForwardedInput, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kForwardedInput, msg, 20 + msg.interaction.size());
 }
 
 ForwardedInputMsg decodeForwardedInput(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kForwardedInput);
-  ser::ByteReader reader(frame.payload);
-  ForwardedInputMsg msg;
-  msg.target = EntityId{reader.readVarU64()};
-  msg.source = EntityId{reader.readVarU64()};
-  msg.interaction = reader.readBytes();
-  return msg;
+  return ser::decodeWireFrame<ForwardedInputMsg>(frame, MessageType::kForwardedInput);
 }
 
 ser::Frame encode(const EntityReplicationMsg& msg) {
-  ser::ByteWriter writer(8 + msg.entities.size() * 32);
-  writer.writeVarU64(msg.serverTick);
-  writer.writeVarU64(msg.entities.size());
-  for (const auto& snapshot : msg.entities) SnapshotCodec::writeSnapshot(writer, snapshot);
-  writer.writeVarU64(msg.removed.size());
-  for (const EntityId id : msg.removed) writer.writeVarU64(id.value);
-  return makeFrame(ser::MessageType::kEntityReplication, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kEntityReplication, msg, 8 + msg.entities.size() * 32);
 }
 
 EntityReplicationMsg decodeEntityReplication(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kEntityReplication);
-  ser::ByteReader reader(frame.payload);
-  EntityReplicationMsg msg;
-  msg.serverTick = reader.readVarU64();
-  const std::uint64_t count = reader.readVarU64();
-  // Every snapshot occupies multiple bytes; a count beyond the remaining
-  // payload is malformed (and must not drive a huge allocation).
-  if (count > reader.remaining()) throw ser::DecodeError("implausible entity count");
-  msg.entities.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) msg.entities.push_back(SnapshotCodec::readSnapshot(reader));
-  const std::uint64_t removedCount = reader.readVarU64();
-  if (removedCount > reader.remaining()) throw ser::DecodeError("implausible removed count");
-  msg.removed.reserve(removedCount);
-  for (std::uint64_t i = 0; i < removedCount; ++i) msg.removed.push_back(EntityId{reader.readVarU64()});
-  return msg;
+  return ser::decodeWireFrame<EntityReplicationMsg>(frame, MessageType::kEntityReplication);
 }
 
 ser::Frame encode(const MigrationDataMsg& msg) {
-  ser::ByteWriter writer(48 + msg.appState.size());
-  writer.writeVarU64(msg.client.value);
-  writer.writeVarU64(msg.clientNode.value);
-  SnapshotCodec::writeSnapshot(writer, msg.entity);
-  writer.writeBytes(msg.appState);
-  writer.writeVarU64(msg.source.value);
-  writer.writeVarU64(msg.traceId);
-  return makeFrame(ser::MessageType::kMigrationData, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kMigrationData, msg, 48 + msg.appState.size());
 }
 
 MigrationDataMsg decodeMigrationData(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kMigrationData);
-  ser::ByteReader reader(frame.payload);
-  MigrationDataMsg msg;
-  msg.client = ClientId{reader.readVarU64()};
-  msg.clientNode = NodeId{reader.readVarU64()};
-  msg.entity = SnapshotCodec::readSnapshot(reader);
-  msg.appState = reader.readBytes();
-  msg.source = ServerId{reader.readVarU64()};
-  msg.traceId = reader.readVarU64();
-  return msg;
+  return ser::decodeWireFrame<MigrationDataMsg>(frame, MessageType::kMigrationData);
 }
 
 ser::Frame encode(const MigrationAckMsg& msg) {
-  ser::ByteWriter writer(32);
-  writer.writeVarU64(msg.client.value);
-  writer.writeVarU64(msg.entity.value);
-  writer.writeVarU64(msg.newOwner.value);
-  writer.writeVarU64(msg.traceId);
-  return makeFrame(ser::MessageType::kMigrationAck, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kMigrationAck, msg, 32);
 }
 
 MigrationAckMsg decodeMigrationAck(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kMigrationAck);
-  ser::ByteReader reader(frame.payload);
-  MigrationAckMsg msg;
-  msg.client = ClientId{reader.readVarU64()};
-  msg.entity = EntityId{reader.readVarU64()};
-  msg.newOwner = ServerId{reader.readVarU64()};
-  msg.traceId = reader.readVarU64();
-  return msg;
+  return ser::decodeWireFrame<MigrationAckMsg>(frame, MessageType::kMigrationAck);
 }
 
 ser::Frame encode(const ZoneHandoffMsg& msg) {
-  ser::ByteWriter writer(64 + msg.appState.size());
-  writer.writeVarU64(msg.client.value);
-  writer.writeVarU64(msg.clientNode.value);
-  writer.writeVarU64(msg.fromZone.value);
-  writer.writeVarU64(msg.toZone.value);
-  SnapshotCodec::writeSnapshot(writer, msg.entity);
-  writer.writeBytes(msg.appState);
-  writer.writeVarU64(msg.source.value);
-  writer.writeVarU64(msg.sourceNode.value);
-  writer.writeVarU64(msg.traceId);
-  return makeFrame(ser::MessageType::kZoneHandoff, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kZoneHandoff, msg, 64 + msg.appState.size());
 }
 
 ZoneHandoffMsg decodeZoneHandoff(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kZoneHandoff);
-  ser::ByteReader reader(frame.payload);
-  ZoneHandoffMsg msg;
-  msg.client = ClientId{reader.readVarU64()};
-  msg.clientNode = NodeId{reader.readVarU64()};
-  msg.fromZone = ZoneId{reader.readVarU64()};
-  msg.toZone = ZoneId{reader.readVarU64()};
-  msg.entity = SnapshotCodec::readSnapshot(reader);
-  msg.appState = reader.readBytes();
-  msg.source = ServerId{reader.readVarU64()};
-  msg.sourceNode = NodeId{reader.readVarU64()};
-  msg.traceId = reader.readVarU64();
-  return msg;
+  return ser::decodeWireFrame<ZoneHandoffMsg>(frame, MessageType::kZoneHandoff);
 }
 
 ser::Frame encode(const ZoneHandoffAckMsg& msg) {
-  ser::ByteWriter writer(40);
-  writer.writeVarU64(msg.client.value);
-  writer.writeVarU64(msg.entity.value);
-  writer.writeVarU64(msg.newOwner.value);
-  writer.writeVarU64(msg.newZone.value);
-  writer.writeVarU64(msg.version);
-  writer.writeVarU64(msg.traceId);
-  return makeFrame(ser::MessageType::kZoneHandoffAck, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kZoneHandoffAck, msg, 40);
 }
 
 ZoneHandoffAckMsg decodeZoneHandoffAck(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kZoneHandoffAck);
-  ser::ByteReader reader(frame.payload);
-  ZoneHandoffAckMsg msg;
-  msg.client = ClientId{reader.readVarU64()};
-  msg.entity = EntityId{reader.readVarU64()};
-  msg.newOwner = ServerId{reader.readVarU64()};
-  msg.newZone = ZoneId{reader.readVarU64()};
-  msg.version = reader.readVarU64();
-  msg.traceId = reader.readVarU64();
-  return msg;
+  return ser::decodeWireFrame<ZoneHandoffAckMsg>(frame, MessageType::kZoneHandoffAck);
 }
 
 ser::Frame encode(const BorderSyncMsg& msg) {
-  ser::ByteWriter writer(16 + msg.entities.size() * 32);
-  writer.writeVarU64(msg.serverTick);
-  writer.writeVarU64(msg.zone.value);
-  writer.writeVarU64(msg.source.value);
-  writer.writeVarU64(msg.entities.size());
-  for (const auto& snapshot : msg.entities) SnapshotCodec::writeSnapshot(writer, snapshot);
-  return makeFrame(ser::MessageType::kBorderSync, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kBorderSync, msg, 16 + msg.entities.size() * 32);
 }
 
 BorderSyncMsg decodeBorderSync(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kBorderSync);
-  ser::ByteReader reader(frame.payload);
-  BorderSyncMsg msg;
-  msg.serverTick = reader.readVarU64();
-  msg.zone = ZoneId{reader.readVarU64()};
-  msg.source = ServerId{reader.readVarU64()};
-  const std::uint64_t count = reader.readVarU64();
-  if (count > reader.remaining()) throw ser::DecodeError("implausible entity count");
-  msg.entities.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) msg.entities.push_back(SnapshotCodec::readSnapshot(reader));
-  return msg;
+  return ser::decodeWireFrame<BorderSyncMsg>(frame, MessageType::kBorderSync);
 }
 
 ser::Frame encode(const HeartbeatMsg& msg) {
-  ser::ByteWriter writer(24);
-  writer.writeVarU64(msg.server.value);
-  writer.writeVarU64(msg.seq);
-  writer.writeVarI64(msg.sentAt.micros);
-  return makeFrame(ser::MessageType::kHeartbeat, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kHeartbeat, msg, 24);
 }
 
 HeartbeatMsg decodeHeartbeat(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kHeartbeat);
-  ser::ByteReader reader(frame.payload);
-  HeartbeatMsg msg;
-  msg.server = ServerId{reader.readVarU64()};
-  msg.seq = reader.readVarU64();
-  msg.sentAt = SimTime{reader.readVarI64()};
-  return msg;
+  return ser::decodeWireFrame<HeartbeatMsg>(frame, MessageType::kHeartbeat);
 }
 
 ser::Frame encode(const ViewReplicationMsg& msg) {
-  ser::ByteWriter writer(16 + msg.view.size());
-  writer.writeVarU64(msg.serverTick);
-  writer.writeVarU64(msg.source.value);
-  writer.writeBytes(msg.view);
-  return makeFrame(ser::MessageType::kViewReplication, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kViewReplication, msg, 16 + msg.view.size());
 }
 
 ViewReplicationMsg decodeViewReplication(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kViewReplication);
-  ser::ByteReader reader(frame.payload);
-  ViewReplicationMsg msg;
-  msg.serverTick = reader.readVarU64();
-  msg.source = ServerId{reader.readVarU64()};
-  msg.view = reader.readBytes();
-  return msg;
+  return ser::decodeWireFrame<ViewReplicationMsg>(frame, MessageType::kViewReplication);
 }
 
 ser::Frame encode(const ReplicationAckMsg& msg) {
-  ser::ByteWriter writer(16);
-  writer.writeVarU64(msg.acker.value);
-  writer.writeVarU64(msg.tick);
-  return makeFrame(ser::MessageType::kReplicationAck, std::move(writer));
+  return ser::encodeWireFrame(MessageType::kReplicationAck, msg, 16);
 }
 
 ReplicationAckMsg decodeReplicationAck(const ser::Frame& frame) {
-  expectType(frame, ser::MessageType::kReplicationAck);
-  ser::ByteReader reader(frame.payload);
-  ReplicationAckMsg msg;
-  msg.acker = ServerId{reader.readVarU64()};
-  msg.tick = reader.readVarU64();
-  return msg;
+  return ser::decodeWireFrame<ReplicationAckMsg>(frame, MessageType::kReplicationAck);
 }
 
 }  // namespace roia::rtf

@@ -4,63 +4,39 @@
 #include <cmath>
 
 #include "rtf/messages.hpp"
-#include "serialize/byte_buffer.hpp"
+#include "serialize/wire.hpp"
 
 namespace roia::rtf {
 
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, MonitoringSnapshot> snapshot) {
+  io.var(snapshot.server.value);
+  io.var(snapshot.zone.value);
+  io.svar(snapshot.takenAt.micros);
+  io.var(snapshot.activeUsers);
+  io.var(snapshot.totalAvatars);
+  io.var(snapshot.npcs);
+  io.f64(snapshot.tickAvgMs);
+  io.f64(snapshot.tickP95Ms);
+  io.f64(snapshot.tickMaxMs);
+  io.f64(snapshot.cpuLoad);
+  for (auto& v : snapshot.phaseAvgMicros) io.f32(v);
+  io.var(snapshot.ticksObserved);
+  io.var(snapshot.migrationsInitiated);
+  io.var(snapshot.migrationsReceived);
+  io.var(snapshot.borderShadows);
+  io.var(snapshot.handoffsInitiated);
+  io.var(snapshot.handoffsReceived);
+  io.var(snapshot.degradationLevel);
+  io.var(snapshot.shedObservers);
+}
+
 ser::Frame encodeMonitoring(const MonitoringSnapshot& snapshot) {
-  ser::ByteWriter writer(96);
-  writer.writeVarU64(snapshot.server.value);
-  writer.writeVarU64(snapshot.zone.value);
-  writer.writeVarI64(snapshot.takenAt.micros);
-  writer.writeVarU64(snapshot.activeUsers);
-  writer.writeVarU64(snapshot.totalAvatars);
-  writer.writeVarU64(snapshot.npcs);
-  writer.writeF64(snapshot.tickAvgMs);
-  writer.writeF64(snapshot.tickP95Ms);
-  writer.writeF64(snapshot.tickMaxMs);
-  writer.writeF64(snapshot.cpuLoad);
-  for (const double v : snapshot.phaseAvgMicros) writer.writeF32(static_cast<float>(v));
-  writer.writeVarU64(snapshot.ticksObserved);
-  writer.writeVarU64(snapshot.migrationsInitiated);
-  writer.writeVarU64(snapshot.migrationsReceived);
-  writer.writeVarU64(snapshot.borderShadows);
-  writer.writeVarU64(snapshot.handoffsInitiated);
-  writer.writeVarU64(snapshot.handoffsReceived);
-  writer.writeVarU64(snapshot.degradationLevel);
-  writer.writeVarU64(snapshot.shedObservers);
-  ser::Frame frame;
-  frame.type = ser::MessageType::kMonitoring;
-  frame.payload = std::move(writer).take();
-  return frame;
+  return ser::encodeWireFrame(ser::MessageType::kMonitoring, snapshot, 96);
 }
 
 MonitoringSnapshot decodeMonitoring(const ser::Frame& frame) {
-  if (frame.type != ser::MessageType::kMonitoring) {
-    throw ser::DecodeError("unexpected frame type");
-  }
-  ser::ByteReader reader(frame.payload);
-  MonitoringSnapshot snapshot;
-  snapshot.server = ServerId{reader.readVarU64()};
-  snapshot.zone = ZoneId{reader.readVarU64()};
-  snapshot.takenAt = SimTime{reader.readVarI64()};
-  snapshot.activeUsers = reader.readVarU64();
-  snapshot.totalAvatars = reader.readVarU64();
-  snapshot.npcs = reader.readVarU64();
-  snapshot.tickAvgMs = reader.readF64();
-  snapshot.tickP95Ms = reader.readF64();
-  snapshot.tickMaxMs = reader.readF64();
-  snapshot.cpuLoad = reader.readF64();
-  for (double& v : snapshot.phaseAvgMicros) v = reader.readF32();
-  snapshot.ticksObserved = reader.readVarU64();
-  snapshot.migrationsInitiated = reader.readVarU64();
-  snapshot.migrationsReceived = reader.readVarU64();
-  snapshot.borderShadows = reader.readVarU64();
-  snapshot.handoffsInitiated = reader.readVarU64();
-  snapshot.handoffsReceived = reader.readVarU64();
-  snapshot.degradationLevel = reader.readVarU64();
-  snapshot.shedObservers = reader.readVarU64();
-  return snapshot;
+  return ser::decodeWireFrame<MonitoringSnapshot>(frame, ser::MessageType::kMonitoring);
 }
 
 MonitoringCollector::MonitoringCollector(sim::Simulation& simulation, net::Network& network)
@@ -83,7 +59,6 @@ void MonitoringCollector::handleFrame(NodeId from, const ser::Frame& frame) {
   if (frame.type == ser::MessageType::kHeartbeat) {
     const HeartbeatMsg beat = decodeHeartbeat(frame);
     lastAliveAt_[beat.server] = sim_.now();
-    ++heartbeats_;
     if (telemetry_ != nullptr) {
       telemetry_->metrics.counter("roia_collector_heartbeats_received_total").increment();
     }

@@ -92,14 +92,11 @@ class MonitoringCollector {
   // has been silent for `missedBeats` periods is suspected dead. Both beats
   // and monitoring refresh liveness, so an isolated lost heartbeat does not
   // trip the detector.
-  [[nodiscard]] std::uint64_t heartbeatsReceived() const { return heartbeats_; }
   /// Time since the last sign of life from `server`; nullopt if never seen.
   [[nodiscard]] std::optional<SimDuration> heartbeatAge(ServerId server) const;
   /// Servers silent for longer than `period * missedBeats`.
   [[nodiscard]] std::vector<ServerId> suspectDead(SimDuration period,
                                                   std::size_t missedBeats = 3) const;
-
-  [[nodiscard]] const ReliableStats& reliableStats() const { return reliable_.stats(); }
 
   /// Attaches telemetry: receive counters update live; staleness(),
   /// heartbeatAge() and the reliable-transport counters are exported by
@@ -120,7 +117,6 @@ class MonitoringCollector {
   std::map<ServerId, SimTime> receivedAt_;
   std::map<ServerId, SimTime> lastAliveAt_;
   std::uint64_t received_{0};
-  std::uint64_t heartbeats_{0};
   obs::Telemetry* telemetry_{nullptr};
 };
 

@@ -130,8 +130,6 @@ bool ReliableTransport::onFrame(NodeId from, const ser::Frame& frame) {
   return true;
 }
 
-void ReliableTransport::resetPeer(NodeId peer) { peers_.erase(peer.value); }
-
 std::size_t ReliableTransport::unackedCount() const {
   std::size_t count = 0;
   for (const auto& [node, peer] : peers_) count += peer.pending.size();

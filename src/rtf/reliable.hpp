@@ -82,10 +82,6 @@ class ReliableTransport {
   /// reliable layer (envelope or ack) and was consumed.
   bool onFrame(NodeId from, const ser::Frame& frame);
 
-  /// Drops all send/receive state for `peer` (it crashed or was replaced);
-  /// outstanding retransmissions to it stop.
-  void resetPeer(NodeId peer);
-
   [[nodiscard]] std::size_t unackedCount() const;
   [[nodiscard]] const ReliableStats& stats() const { return stats_; }
 

@@ -1053,7 +1053,7 @@ void Server::processMigrationAcks() {
                                 obs::ProtocolOutcome::kCompleted);
     }
     clients_.erase(it);
-    if (onMigrationComplete_) onMigrationComplete_(ack.client, id_, ack.newOwner);
+    if (onHandOverComplete_) onHandOverComplete_(ack.client, ack.newOwner);
   }
   while (!inZoneHandoffAcks_.empty()) {
     const ZoneHandoffAckMsg ack = inZoneHandoffAcks_.front();
@@ -1087,7 +1087,7 @@ void Server::processMigrationAcks() {
     world_.remove(it->second.entity);
     departedEntities_.push_back(it->second.entity);
     clients_.erase(it);
-    if (onZoneHandoffComplete_) onZoneHandoffComplete_(ack.client, id_, ack.newOwner, ack.newZone);
+    if (onHandOverComplete_) onHandOverComplete_(ack.client, ack.newOwner);
   }
 }
 

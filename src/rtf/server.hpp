@@ -130,11 +130,6 @@ class Server : public ForwardSink {
  public:
   /// Fired at the end of every tick with that tick's probes.
   using ProbeListener = std::function<void(const Server&, const TickProbes&)>;
-  /// Fired on the *source* server when the target acknowledges adoption.
-  using MigrationCompleteFn = std::function<void(ClientId client, ServerId from, ServerId to)>;
-  /// Fired on the *source* server when a cross-zone handoff completes.
-  using ZoneHandoffCompleteFn =
-      std::function<void(ClientId client, ServerId from, ServerId to, ZoneId toZone)>;
   /// Maps a world position to the zone owning it (and a replica to adopt
   /// there); nullopt when no zone covers the position. Provided by the
   /// cluster; evaluated inside the tick, so it must be deterministic.
@@ -216,7 +211,6 @@ class Server : public ForwardSink {
   /// beyond the zone rectangle are handed off to the owning zone
   /// automatically at the next migration phase.
   void setHandoffResolver(HandoffResolver resolver) { handoffResolver_ = std::move(resolver); }
-  void setZoneHandoffCompleteFn(ZoneHandoffCompleteFn fn) { onZoneHandoffComplete_ = std::move(fn); }
 
   [[nodiscard]] std::uint64_t handoffsInitiated() const { return handoffsInitiatedTotal_; }
   [[nodiscard]] std::uint64_t handoffsReceived() const { return handoffsReceivedTotal_; }
@@ -241,7 +235,11 @@ class Server : public ForwardSink {
 
   [[nodiscard]] bool hasClient(ClientId client) const { return clients_.contains(client); }
 
-  void setMigrationCompleteFn(MigrationCompleteFn fn) { onMigrationComplete_ = std::move(fn); }
+  /// Fired on the *source* server when the target acknowledges adopting a
+  /// user, for same-zone migrations and cross-zone handoffs alike.
+  void setHandOverCompleteFn(std::function<void(ClientId client, ServerId to)> fn) {
+    onHandOverComplete_ = std::move(fn);
+  }
   void setProbeListener(ProbeListener listener) { probeListener_ = std::move(listener); }
 
   /// Attaches telemetry (tick/phase histograms, tick spans, migration and
@@ -266,8 +264,6 @@ class Server : public ForwardSink {
     return config_.overload.budgetMs > 0.0 ? config_.overload.budgetMs
                                            : config_.tickInterval.asMillis();
   }
-  /// Latest cost estimate fed to the ladder: max(measured, predicted), ms.
-  [[nodiscard]] double lastTickCostMs() const { return lastTickCostMs_; }
   [[nodiscard]] std::uint64_t overloadStepDowns() const { return overloadStepDownsTotal_; }
   [[nodiscard]] std::uint64_t overloadStepUps() const { return overloadStepUpsTotal_; }
   /// Observers currently shed at the deepest ladder level.
@@ -401,7 +397,6 @@ class Server : public ForwardSink {
   // --- zone sharding state ---
   std::vector<ZoneNeighbor> neighbors_;
   HandoffResolver handoffResolver_;
-  ZoneHandoffCompleteFn onZoneHandoffComplete_;
   std::function<bool(ServerId)> handoffAdmission_;
   bool hasZoneBounds_{false};
   Vec2 zoneOrigin_;
@@ -457,7 +452,7 @@ class Server : public ForwardSink {
   std::uint64_t heartbeatSeq_{0};
 
   ProbeListener probeListener_;
-  MigrationCompleteFn onMigrationComplete_;
+  std::function<void(ClientId, ServerId)> onHandOverComplete_;
 
   // --- telemetry (pure observer; never charges CPU cost) ---
   obs::Telemetry* telemetry_{nullptr};

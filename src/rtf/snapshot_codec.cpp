@@ -16,20 +16,24 @@ float dequant(std::int64_t q, double scale) {
   return static_cast<float>(static_cast<double>(q) / scale);
 }
 
-/// Zigzag varint of the lattice delta when scaled, raw F32 otherwise.
-void writeScaledDelta(ser::ByteWriter& writer, float base, float now, double scale) {
+/// Zigzag varint of the lattice delta when scaled, raw F32 otherwise. The
+/// value is computed content, so each direction is written out.
+void scaledDelta(ser::WireOut& io, float base, float now, double scale) {
   if (scale > 0.0) {
-    writer.writeVarI64(quant(now, scale) - quant(base, scale));
+    io.svar(quant(now, scale) - quant(base, scale));
   } else {
-    writer.writeF32(now);
+    io.f32(now);
   }
 }
 
-float readScaledDelta(ser::ByteReader& reader, float base, double scale) {
+void scaledDelta(ser::WireIn& io, float base, float& now, double scale) {
   if (scale > 0.0) {
-    return dequant(quant(base, scale) + reader.readVarI64(), scale);
+    std::int64_t delta = 0;
+    io.svar(delta);
+    now = dequant(quant(base, scale) + delta, scale);
+  } else {
+    io.f32(now);
   }
-  return reader.readF32();
 }
 
 bool scaledEqual(float a, float b, double scale) {
@@ -56,91 +60,113 @@ constexpr SnapshotSchemaRow kSnapshotSchema[] = {
     {SnapshotField::kAppData, "appData"},
 };
 
-}  // namespace
-
-std::span<const SnapshotSchemaRow> snapshotSchema() { return kSnapshotSchema; }
-
-// roia-hot
-void SnapshotCodec::writeSnapshot(ser::ByteWriter& writer, const EntitySnapshot& snapshot) {
+/// The delta entry layout: the mask, then every masked field in schema
+/// order, positions and velocities as lattice deltas and the version as a
+/// difference against `from` (the baseline entry). When decoding, `s` holds
+/// the baseline on entry, so `from` may alias it.
+template <class IO>
+void wireEntry(IO& io, const EntitySnapshot& from, ser::WireRef<IO, EntitySnapshot> s,
+               ser::WireRef<IO, FieldMask> mask, const ReplicationProfile& profile) {
+  io.var(mask);
   for (const SnapshotSchemaRow& row : kSnapshotSchema) {
+    if (row.field == SnapshotField::kId) continue;
+    if ((mask & fieldBit(row.field)) == 0) continue;
     switch (row.field) {
       case SnapshotField::kId:
-        writer.writeVarU64(snapshot.id.value);
         break;
       case SnapshotField::kKind:
-        writer.writeU8(static_cast<std::uint8_t>(snapshot.kind));
+        io.u8(s.kind);
         break;
       case SnapshotField::kOwner:
-        writer.writeVarU64(snapshot.owner.value);
+        io.var(s.owner.value);
         break;
       case SnapshotField::kClient:
-        writer.writeVarU64(snapshot.client.value);
+        io.var(s.client.value);
         break;
       case SnapshotField::kX:
-        writer.writeF32(snapshot.x);
+        scaledDelta(io, from.x, s.x, profile.positionScale);
         break;
       case SnapshotField::kY:
-        writer.writeF32(snapshot.y);
+        scaledDelta(io, from.y, s.y, profile.positionScale);
         break;
       case SnapshotField::kVx:
-        writer.writeF32(snapshot.vx);
+        scaledDelta(io, from.vx, s.vx, profile.velocityScale);
         break;
       case SnapshotField::kVy:
-        writer.writeF32(snapshot.vy);
+        scaledDelta(io, from.vy, s.vy, profile.velocityScale);
         break;
       case SnapshotField::kHealth:
-        writer.writeF32(snapshot.health);
+        io.f32(s.health);
         break;
       case SnapshotField::kVersion:
-        writer.writeVarU64(snapshot.version);
+        io.svarDelta(from.version, s.version);
         break;
       case SnapshotField::kAppData:
-        writer.writeBytes(snapshot.appData);
+        io.bytes(s.appData);
         break;
     }
   }
 }
 
-EntitySnapshot SnapshotCodec::readSnapshot(ser::ByteReader& reader) {
-  EntitySnapshot s;
+}  // namespace
+
+std::span<const SnapshotSchemaRow> snapshotSchema() { return kSnapshotSchema; }
+
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, EntitySnapshot> snapshot) {
   for (const SnapshotSchemaRow& row : kSnapshotSchema) {
     switch (row.field) {
       case SnapshotField::kId:
-        s.id = EntityId{reader.readVarU64()};
+        io.var(snapshot.id.value);
         break;
       case SnapshotField::kKind:
-        s.kind = static_cast<EntityKind>(reader.readU8());
+        io.u8(snapshot.kind);
         break;
       case SnapshotField::kOwner:
-        s.owner = ServerId{reader.readVarU64()};
+        io.var(snapshot.owner.value);
         break;
       case SnapshotField::kClient:
-        s.client = ClientId{reader.readVarU64()};
+        io.var(snapshot.client.value);
         break;
       case SnapshotField::kX:
-        s.x = reader.readF32();
+        io.f32(snapshot.x);
         break;
       case SnapshotField::kY:
-        s.y = reader.readF32();
+        io.f32(snapshot.y);
         break;
       case SnapshotField::kVx:
-        s.vx = reader.readF32();
+        io.f32(snapshot.vx);
         break;
       case SnapshotField::kVy:
-        s.vy = reader.readF32();
+        io.f32(snapshot.vy);
         break;
       case SnapshotField::kHealth:
-        s.health = reader.readF32();
+        io.f32(snapshot.health);
         break;
       case SnapshotField::kVersion:
-        s.version = reader.readVarU64();
+        io.var(snapshot.version);
         break;
       case SnapshotField::kAppData:
-        s.appData = reader.readBytes();
+        io.bytes(snapshot.appData);
         break;
     }
   }
-  return s;
+}
+
+template void wire<ser::WireOut>(ser::WireOut&, const EntitySnapshot&);
+template void wire<ser::WireIn>(ser::WireIn&, EntitySnapshot&);
+
+// roia-hot
+void SnapshotCodec::writeSnapshot(ser::ByteWriter& writer, const EntitySnapshot& snapshot) {
+  ser::WireOut out(writer);
+  wire(out, snapshot);
+}
+
+EntitySnapshot SnapshotCodec::readSnapshot(ser::ByteReader& reader) {
+  ser::WireIn in(reader);
+  EntitySnapshot snapshot;
+  wire(in, snapshot);
+  return snapshot;
 }
 
 ser::Frame SnapshotCodec::encodeStateUpdate(std::uint64_t serverTick,
@@ -198,97 +224,21 @@ FieldMask SnapshotCodec::changedFields(const EntitySnapshot& base, const EntityS
 void SnapshotCodec::writeEntry(ser::ByteWriter& writer, const EntitySnapshot* base,
                                const EntitySnapshot& now, FieldMask mask) const {
   static const EntitySnapshot kDefault{};
-  const EntitySnapshot& from = base != nullptr ? *base : kDefault;
-  writer.writeVarU64(mask);
-  for (const SnapshotSchemaRow& row : kSnapshotSchema) {
-    if (row.field == SnapshotField::kId) continue;
-    if ((mask & fieldBit(row.field)) == 0) continue;
-    switch (row.field) {
-      case SnapshotField::kId:
-        break;
-      case SnapshotField::kKind:
-        writer.writeU8(static_cast<std::uint8_t>(now.kind));
-        break;
-      case SnapshotField::kOwner:
-        writer.writeVarU64(now.owner.value);
-        break;
-      case SnapshotField::kClient:
-        writer.writeVarU64(now.client.value);
-        break;
-      case SnapshotField::kX:
-        writeScaledDelta(writer, from.x, now.x, profile_.positionScale);
-        break;
-      case SnapshotField::kY:
-        writeScaledDelta(writer, from.y, now.y, profile_.positionScale);
-        break;
-      case SnapshotField::kVx:
-        writeScaledDelta(writer, from.vx, now.vx, profile_.velocityScale);
-        break;
-      case SnapshotField::kVy:
-        writeScaledDelta(writer, from.vy, now.vy, profile_.velocityScale);
-        break;
-      case SnapshotField::kHealth:
-        writer.writeF32(now.health);
-        break;
-      case SnapshotField::kVersion:
-        writer.writeVarI64(static_cast<std::int64_t>(now.version) -
-                           static_cast<std::int64_t>(from.version));
-        break;
-      case SnapshotField::kAppData:
-        writer.writeBytes(now.appData);
-        break;
-    }
-  }
+  ser::WireOut out(writer);
+  wireEntry(out, base != nullptr ? *base : kDefault, now, mask, profile_);
 }
 
 EntitySnapshot SnapshotCodec::readEntry(ser::ByteReader& reader, EntityId id,
                                         const SnapshotView* baseline) const {
-  const auto mask = static_cast<FieldMask>(reader.readVarU64());
   EntitySnapshot s;
   if (baseline != nullptr) {
     auto it = baseline->find(id);
     if (it != baseline->end()) s = it->second;
   }
   s.id = id;
-  for (const SnapshotSchemaRow& row : kSnapshotSchema) {
-    if (row.field == SnapshotField::kId) continue;
-    if ((mask & fieldBit(row.field)) == 0) continue;
-    switch (row.field) {
-      case SnapshotField::kId:
-        break;
-      case SnapshotField::kKind:
-        s.kind = static_cast<EntityKind>(reader.readU8());
-        break;
-      case SnapshotField::kOwner:
-        s.owner = ServerId{reader.readVarU64()};
-        break;
-      case SnapshotField::kClient:
-        s.client = ClientId{reader.readVarU64()};
-        break;
-      case SnapshotField::kX:
-        s.x = readScaledDelta(reader, s.x, profile_.positionScale);
-        break;
-      case SnapshotField::kY:
-        s.y = readScaledDelta(reader, s.y, profile_.positionScale);
-        break;
-      case SnapshotField::kVx:
-        s.vx = readScaledDelta(reader, s.vx, profile_.velocityScale);
-        break;
-      case SnapshotField::kVy:
-        s.vy = readScaledDelta(reader, s.vy, profile_.velocityScale);
-        break;
-      case SnapshotField::kHealth:
-        s.health = reader.readF32();
-        break;
-      case SnapshotField::kVersion:
-        s.version = static_cast<std::uint64_t>(static_cast<std::int64_t>(s.version) +
-                                               reader.readVarI64());
-        break;
-      case SnapshotField::kAppData:
-        s.appData = reader.readBytes();
-        break;
-    }
-  }
+  ser::WireIn in(reader);
+  FieldMask mask = 0;
+  wireEntry(in, s, s, mask, profile_);
   return s;
 }
 

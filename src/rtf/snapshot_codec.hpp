@@ -24,6 +24,7 @@
 #include "common/types.hpp"
 #include "rtf/entity.hpp"
 #include "serialize/message.hpp"
+#include "serialize/wire.hpp"
 
 namespace roia::rtf {
 
@@ -90,6 +91,12 @@ inline constexpr FieldMask kClientViewFields =
 /// The entity set one link sees, keyed by id (ordered: encode order and
 /// equality checks are deterministic).
 using SnapshotView = std::map<EntityId, EntitySnapshot>;
+
+/// The full snapshot layout: every field in kSnapshotSchema order (see
+/// serialize/wire.hpp). Instantiated for ser::WireOut and ser::WireIn in
+/// snapshot_codec.cpp, so message walkers can nest snapshots.
+template <class IO>
+void wire(IO& io, ser::WireRef<IO, EntitySnapshot> snapshot);
 
 /// Server -> client: filtered world delta produced by the application.
 struct StateUpdateMsg {
@@ -184,11 +191,6 @@ class BaselineSender {
   void onAck(std::uint64_t tick);
 
   [[nodiscard]] bool hasAcked() const { return hasAcked_; }
-  [[nodiscard]] std::uint64_t ackedTick() const { return ackedTick_; }
-  [[nodiscard]] const SnapshotView* sentView(std::uint64_t tick) const {
-    auto it = sent_.find(tick);
-    return it != sent_.end() ? &it->second : nullptr;
-  }
 
  private:
   const SnapshotCodec* codec_;
@@ -228,10 +230,6 @@ class BaselineReceiver {
 
   [[nodiscard]] bool hasView() const { return hasLatest_; }
   [[nodiscard]] std::uint64_t latestTick() const { return latest_; }
-  [[nodiscard]] const SnapshotView* latestView() const {
-    auto it = views_.find(latest_);
-    return hasLatest_ && it != views_.end() ? &it->second : nullptr;
-  }
 
  private:
   const SnapshotCodec* codec_{nullptr};

@@ -113,10 +113,14 @@ std::uint64_t ByteReader::readVarU64() {
 std::int64_t ByteReader::readVarI64() { return zigzagDecode(readVarU64()); }
 
 std::vector<std::uint8_t> ByteReader::readBytes() {
+  const std::span<const std::uint8_t> bytes = readByteSpan();
+  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+}
+
+std::span<const std::uint8_t> ByteReader::readByteSpan() {
   const std::uint64_t len = readVarU64();
   require(len);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(offset_ + len));
+  const std::span<const std::uint8_t> out = data_.subspan(offset_, len);
   offset_ += len;
   return out;
 }

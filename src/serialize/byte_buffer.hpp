@@ -92,6 +92,8 @@ class ByteReader {
   std::int64_t readVarI64();
 
   std::vector<std::uint8_t> readBytes();
+  /// Length-prefixed byte string as a view into the input (no copy).
+  std::span<const std::uint8_t> readByteSpan();
   std::string readString();
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - offset_; }

@@ -1,16 +1,20 @@
-// Fuzz harness for the snapshot decode paths: BaselineReceiver::decodeView
-// (delta/keyframe view payloads) and SnapshotCodec::readSnapshot (the full
-// codec's entity stream). The contract under test: for ARBITRARY bytes the
-// decoders either succeed, return nullopt (inapplicable frame), or throw
-// ser::DecodeError — never undefined behaviour, unbounded allocation driven
-// past the input size, or a crash.
+// Fuzz harness for the decode paths: BaselineReceiver::decodeView
+// (delta/keyframe view payloads), SnapshotCodec::readSnapshot (the full
+// codec's entity stream) and every frame decoder the server and the
+// monitoring collector run (rtf::decode*, rtf::decodeMonitoring). The
+// contract under test: for ARBITRARY bytes the decoders either succeed,
+// return nullopt (inapplicable frame), or throw ser::DecodeError — never
+// undefined behaviour, unbounded allocation driven past the input size, or
+// a crash.
 //
 // The first input byte selects the decode mode; the rest is the payload:
-//   data[0] % 3 == 0  one view payload into a fresh BaselineReceiver
-//   data[0] % 3 == 1  a stream of full-codec snapshots via ByteReader
-//   data[0] % 3 == 2  the payload split in two, fed through ONE receiver
-//                     (exercises the baseline-lookup state machine: a frame
-//                     decoded after another frame sees retained baselines)
+//   mode 0    one view payload into a fresh BaselineReceiver
+//   mode 1    a stream of full-codec snapshots via ByteReader
+//   mode 2    the payload split in two, fed through ONE receiver
+//             (exercises the baseline-lookup state machine: a frame
+//             decoded after another frame sees retained baselines)
+//   mode 3+   the payload as one frame for kFrameDecoders[mode - 3]
+// where mode = data[0] % kModes.
 //
 // Build shapes (tests/fuzz/CMakeLists.txt, behind -DROIA_FUZZ=ON):
 //   * Clang: linked against libFuzzer (-fsanitize=fuzzer); the usual
@@ -18,7 +22,7 @@
 //   * Other compilers (the CI image ships g++): a standalone driver with
 //     the same entry point —
 //       fuzz_snapshot_decode --write-corpus DIR    seed DIR with golden
-//                                                  BaselineSender encodes
+//                                                  encodes of every mode
 //       fuzz_snapshot_decode --mutate SECONDS [DIR] deterministic xorshift
 //                                                  mutation loop over the
 //                                                  corpus (built-in seeds
@@ -26,14 +30,43 @@
 //       fuzz_snapshot_decode FILE...               replay crash inputs
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
 #include "rtf/entity.hpp"
+#include "rtf/messages.hpp"
+#include "rtf/monitoring.hpp"
 #include "rtf/snapshot_codec.hpp"
 #include "serialize/byte_buffer.hpp"
 
 namespace {
+
+namespace rtf = roia::rtf;
+using roia::ser::Frame;
+using roia::ser::MessageType;
+
+struct FrameDecoder {
+  MessageType type;
+  void (*decode)(const Frame&);
+};
+
+constexpr FrameDecoder kFrameDecoders[] = {
+    {MessageType::kClientInput, [](const Frame& f) { (void)rtf::decodeClientInput(f); }},
+    {MessageType::kForwardedInput, [](const Frame& f) { (void)rtf::decodeForwardedInput(f); }},
+    {MessageType::kEntityReplication,
+     [](const Frame& f) { (void)rtf::decodeEntityReplication(f); }},
+    {MessageType::kMigrationData, [](const Frame& f) { (void)rtf::decodeMigrationData(f); }},
+    {MessageType::kMigrationAck, [](const Frame& f) { (void)rtf::decodeMigrationAck(f); }},
+    {MessageType::kZoneHandoff, [](const Frame& f) { (void)rtf::decodeZoneHandoff(f); }},
+    {MessageType::kZoneHandoffAck, [](const Frame& f) { (void)rtf::decodeZoneHandoffAck(f); }},
+    {MessageType::kBorderSync, [](const Frame& f) { (void)rtf::decodeBorderSync(f); }},
+    {MessageType::kHeartbeat, [](const Frame& f) { (void)rtf::decodeHeartbeat(f); }},
+    {MessageType::kViewReplication, [](const Frame& f) { (void)rtf::decodeViewReplication(f); }},
+    {MessageType::kReplicationAck, [](const Frame& f) { (void)rtf::decodeReplicationAck(f); }},
+    {MessageType::kMonitoring, [](const Frame& f) { (void)rtf::decodeMonitoring(f); }},
+};
+constexpr std::size_t kModes = 3 + std::size(kFrameDecoders);
 
 const roia::rtf::SnapshotCodec& deltaCodec() {
   static const roia::rtf::SnapshotCodec codec = [] {
@@ -61,8 +94,16 @@ void decodeOneView(roia::rtf::BaselineReceiver& receiver,
 
 void fuzzOne(const std::uint8_t* data, std::size_t size) {
   if (size == 0) return;
-  const std::uint8_t mode = static_cast<std::uint8_t>(data[0] % 3);
+  const std::size_t mode = data[0] % kModes;
   const std::span<const std::uint8_t> payload{data + 1, size - 1};
+  if (mode >= 3) {
+    const FrameDecoder& decoder = kFrameDecoders[mode - 3];
+    try {
+      decoder.decode(Frame{decoder.type, {payload.begin(), payload.end()}});
+    } catch (const roia::ser::DecodeError&) {
+    }
+    return;
+  }
   switch (mode) {
     case 0: {
       roia::rtf::BaselineReceiver receiver{deltaCodec()};
@@ -129,9 +170,28 @@ roia::rtf::EntitySnapshot makeEntity(std::uint64_t id) {
   return s;
 }
 
+rtf::MonitoringSnapshot makeMonitoring() {
+  rtf::MonitoringSnapshot m;
+  m.server = roia::ServerId{2};
+  m.zone = roia::ZoneId{1};
+  m.takenAt = roia::SimTime{1500000};
+  m.activeUsers = 40;
+  m.totalAvatars = 44;
+  m.npcs = 12;
+  m.tickAvgMs = 11.5;
+  m.tickP95Ms = 18.0;
+  m.tickMaxMs = 21.25;
+  m.cpuLoad = 0.5;
+  m.phaseAvgMicros.fill(250.0);
+  m.ticksObserved = 25;
+  m.degradationLevel = 1;
+  return m;
+}
+
 /// Golden seed inputs: each is a mode byte plus a payload produced by the
 /// real encoders, covering keyframe, delta-against-baseline, removals, the
-/// client field mask, an empty view, and a full-codec snapshot stream.
+/// client field mask, an empty view, a full-codec snapshot stream, and one
+/// frame per frame decoder.
 std::vector<std::vector<std::uint8_t>> goldenSeeds() {
   std::vector<std::vector<std::uint8_t>> seeds;
   auto add = [&seeds](std::uint8_t mode, std::span<const std::uint8_t> payload) {
@@ -183,6 +243,36 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
       roia::rtf::SnapshotCodec::writeSnapshot(stream, makeEntity(id));
     }
     add(1, stream.bytes());
+  }
+  {
+    using roia::ClientId;
+    using roia::EntityId;
+    using roia::NodeId;
+    using roia::ServerId;
+    using roia::ZoneId;
+    const rtf::EntitySnapshot entity = makeEntity(5);
+    const Frame frames[] = {
+        rtf::encode(rtf::ClientInputMsg{ClientId{105}, 42, {1, 0, 0, 128, 63, 0, 0, 0, 0}, 9}),
+        rtf::encode(
+            rtf::ForwardedInputMsg{EntityId{5}, EntityId{6}, {1, 0, 0, 0, 0, 0, 0, 36, 64}}),
+        rtf::encode(rtf::EntityReplicationMsg{42, {entity, makeEntity(6)}, {EntityId{3}}}),
+        rtf::encode(rtf::MigrationDataMsg{ClientId{105}, NodeId{8}, entity, {2, 1, 7}, ServerId{2},
+                                          77}),
+        rtf::encode(rtf::MigrationAckMsg{ClientId{105}, EntityId{5}, ServerId{3}, 77}),
+        rtf::encode(rtf::ZoneHandoffMsg{ClientId{105}, NodeId{8}, ZoneId{1}, ZoneId{2}, entity,
+                                        {2, 1, 7}, ServerId{2}, NodeId{4}, 78}),
+        rtf::encode(rtf::ZoneHandoffAckMsg{ClientId{105}, EntityId{5}, ServerId{5}, ZoneId{2}, 12,
+                                           78}),
+        rtf::encode(rtf::BorderSyncMsg{42, ZoneId{1}, ServerId{2}, {entity}}),
+        rtf::encode(rtf::HeartbeatMsg{ServerId{2}, 17, roia::SimTime{1500000}}),
+        rtf::encode(rtf::ViewReplicationMsg{42, ServerId{2}, {1, 42, 0, 0}}),
+        rtf::encode(rtf::ReplicationAckMsg{ServerId{3}, 42}),
+        rtf::encodeMonitoring(makeMonitoring()),
+    };
+    static_assert(std::size(frames) == std::size(kFrameDecoders));
+    for (std::size_t i = 0; i < std::size(frames); ++i) {
+      add(static_cast<std::uint8_t>(3 + i), frames[i].payload);
+    }
   }
   return seeds;
 }

@@ -1,16 +1,9 @@
-// Fixture: decodeProbe forgets ProbeMsg::checksum — the silent field
-// drift the serialization-coverage rule exists to catch.
+// Fixture: ProbeMsg's field walker forgets ProbeMsg::checksum — the silent
+// field drift the serialization-coverage rule exists to catch.
 #include "messages.hpp"
 
-void encode(const ProbeMsg& msg, Sink& out) {
-  out.writeU64(msg.id);
-  out.writeU64(msg.payload);
-  out.writeU64(msg.checksum);
-}
-
-ProbeMsg decodeProbe(const Buffer& in) {
-  ProbeMsg msg;
-  msg.id = in.readU64();
-  msg.payload = in.readU64();
-  return msg;
+template <class IO>
+void wire(IO& io, WireRef<IO, ProbeMsg> msg) {
+  io.var(msg.id);
+  io.var(msg.payload);
 }

@@ -1,38 +1,21 @@
-// Fixture: full encode/decode coverage for every struct in messages.hpp,
-// so the serialization-coverage rule stays quiet and only the manifest
-// drift findings fire. Never compiled.
+// Fixture: one field walker per struct in messages.hpp, each naming every
+// field, so the serialization-coverage rule stays quiet and only the
+// manifest drift findings fire. Never compiled.
 #include "messages.hpp"
 
-void encode(const PingMsg& msg, Sink& out) {
-  out.writeU64(msg.id);
-  out.writeU64(msg.sentAt);
+template <class IO>
+void wire(IO& io, WireRef<IO, PingMsg> msg) {
+  io.var(msg.id);
+  io.var(msg.sentAt);
 }
 
-PingMsg decodePing(const Buffer& in) {
-  PingMsg msg;
-  msg.id = in.readU64();
-  msg.sentAt = in.readU64();
-  return msg;
+template <class IO>
+void wire(IO& io, WireRef<IO, PongMsg> msg) {
+  io.var(msg.id);
+  io.u32(msg.status);
 }
 
-void encode(const PongMsg& msg, Sink& out) {
-  out.writeU64(msg.id);
-  out.writeU32(msg.status);
-}
-
-PongMsg decodePong(const Buffer& in) {
-  PongMsg msg;
-  msg.id = in.readU64();
-  msg.status = in.readU32();
-  return msg;
-}
-
-void encode(const NewMsg& msg, Sink& out) {
-  out.writeU32(msg.token);
-}
-
-NewMsg decodeNew(const Buffer& in) {
-  NewMsg msg;
-  msg.token = in.readU32();
-  return msg;
+template <class IO>
+void wire(IO& io, WireRef<IO, NewMsg> msg) {
+  io.u32(msg.token);
 }

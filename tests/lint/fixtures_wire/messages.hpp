@@ -5,15 +5,15 @@
 #pragma once
 #include <cstdint>
 
-struct Sink {
-  void writeU64(std::uint64_t) {}
-  void writeU32(std::uint32_t) {}
-};
-
-struct Buffer {
-  std::uint64_t readU64() const { return 0; }
-  std::uint32_t readU32() const { return 0; }
-};
+// Stand-in for ser::WireRef (serialize/wire.hpp). Each walker in
+// messages.cpp takes its struct as WireRef<IO, T>: a const reference
+// when encoding through WireOut, a mutable one when decoding through
+// WireIn. The adapters need no declaration here, because the linter
+// only reads this tree and nothing compiles it.
+//
+// The self-test pins the struct line numbers below.
+template <class IO, class T>
+using WireRef = const T&;
 
 // Drift vs the manifest: the manifest still lists a `nonce` field.
 struct PingMsg {

@@ -4,7 +4,7 @@
 The repo's correctness story rests on source-level conventions that a
 compiler cannot check: deterministic simulation (seeded RNG only, no wall
 clock), stable iteration order anywhere bytes/RNG/telemetry are produced,
-encode/decode symmetry for every wire message, and allocation-free hot
+full field coverage of every wire message, and allocation-free hot
 paths. This tool turns those conventions into named, machine-checkable
 rules over the C++ sources, one rule per invariant. Stdlib Python only;
 token/AST-lite (comments and string literals are masked before scanning,
@@ -18,8 +18,9 @@ Rules (see --list-rules):
                          into bytes/results and breaks the byte-identical
                          sweep contract.
   serialization-coverage parses every *Msg struct in rtf/messages.hpp and
-                         verifies each field is touched by both its encode
-                         and decode path in messages.cpp; also parses
+                         verifies each field appears in the struct's wire()
+                         field walker in messages.cpp (one walker encodes
+                         and decodes, serialize/wire.hpp); also parses
                          EntitySnapshot (rtf/entity.hpp) and verifies every
                          field has a SnapshotField row in the kSnapshotSchema
                          wire table of snapshot_codec.cpp.
@@ -113,7 +114,7 @@ RULES = {
     ),
     "serialization-coverage": (
         "every field of every *Msg struct in rtf/messages.hpp must appear "
-        "in both its encode() and decode*() body in messages.cpp, and every "
+        "in the struct's wire() field walker in messages.cpp, and every "
         "EntitySnapshot field must have a SnapshotField::k<Name> row in the "
         "kSnapshotSchema wire table of snapshot_codec.cpp"
     ),
@@ -332,24 +333,19 @@ def rule_serialization_coverage(hpp_path, hpp_masked, cpp_path, cpp_masked):
     findings = []
     structs = parse_message_structs(hpp_masked)
     for struct, fields in sorted(structs.items()):
-        stem = struct[:-3]  # strip the 'Msg' suffix
-        encode_body = function_body(
-            cpp_masked, re.compile(r"\bencode\s*\(\s*const\s+" + struct + r"\s*&"))
-        decode_body = function_body(
-            cpp_masked, re.compile(r"\bdecode" + stem + r"\s*\("))
-        for direction, body in (("encode", encode_body), ("decode", decode_body)):
-            if body is None:
+        body = function_body(
+            cpp_masked, re.compile(r"\bwire\s*\([^(){};]*\b" + struct + r"\b[^(){};]*\)"))
+        if body is None:
+            findings.append(Finding(
+                cpp_path, 1, "serialization-coverage",
+                f"no wire() walker found for {struct}"))
+            continue
+        for field, line, _ftype in fields:
+            if not re.search(r"\.\s*" + re.escape(field) + r"\b", body):
                 findings.append(Finding(
-                    cpp_path, 1, "serialization-coverage",
-                    f"no {direction} function found for {struct}"))
-                continue
-            for field, line, _ftype in fields:
-                if not re.search(r"\.\s*" + re.escape(field) + r"\b", body):
-                    findings.append(Finding(
-                        hpp_path, line, "serialization-coverage",
-                        f"{struct}.{field} never touched in its {direction} "
-                        f"path in {os.path.basename(cpp_path)} — silent "
-                        "field drift"))
+                    hpp_path, line, "serialization-coverage",
+                    f"{struct}.{field} missing from its wire() walker in "
+                    f"{os.path.basename(cpp_path)} — silent field drift"))
     return findings
 
 
