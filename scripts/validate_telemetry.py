@@ -9,6 +9,11 @@ health_report.py imports it together with load_jsonl.
   trace.json     Chrome/Perfetto trace-event JSON: a {"traceEvents": [...]}
                  object, non-decreasing "ts", matched B/E span pairs per
                  (pid, tid).
+  metrics.jsonl  MetricsRegistry rows: kind counter|gauge|histogram, a
+                 non-empty name and string labels; a counter value is a
+                 non-negative integer, a gauge value is finite, a histogram
+                 has an integer count and finite statistics with
+                 min <= p50 <= p95 <= p99 <= max.
   audit.jsonl    RMS/server audit records: t_s/action/strategy/threshold/
                  rationale on every record.
   slo.jsonl      SLO + protocol summary: objective rows carry
@@ -23,11 +28,10 @@ Usage:
 
     python3 scripts/validate_telemetry.py build/fig8_telemetry
 
-Every file above must exist. trace, audit and slo must hold at least one
-record; drift and flight may be empty (a run without model predictions or
-breaches legitimately records nothing). metrics.jsonl is listed in FILES
-for health_report.py but not checked here. Exit 0 clean, 1 on any
-violation.
+Every file above must exist. trace, metrics, audit and slo must hold at
+least one record; drift and flight may be empty (a run without model
+predictions or breaches legitimately records nothing). Exit 0 clean, 1 on
+any violation.
 """
 
 import argparse
@@ -112,6 +116,45 @@ def validate_trace(path):
     return f"{len(events)} trace events"
 
 
+def is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def validate_metrics(path):
+    rows = load_jsonl(path)
+    if not rows:
+        fail(path, "no records")
+    kinds = {"counter": 0, "gauge": 0, "histogram": 0}
+    for row in rows:
+        require_keys(path, row, ("kind", "name", "labels"), "metric")
+        kind = row["kind"]
+        if kind not in kinds:
+            fail(path, f"metric kind must be counter|gauge|histogram: {kind!r}")
+        kinds[kind] += 1
+        if not isinstance(row["name"], str) or not row["name"]:
+            fail(path, f"metric name must be a non-empty string: {row}")
+        labels = row["labels"]
+        if not isinstance(labels, dict) or not all(
+                isinstance(v, str) for v in labels.values()):
+            fail(path, f"metric labels must be an object of strings: {row}")
+        if kind == "counter":
+            if not is_count(row.get("value")):
+                fail(path, f"counter value must be a non-negative integer: {row}")
+        elif kind == "gauge":
+            require_finite(path, row, ("value",), "gauge")
+        else:
+            if not is_count(row.get("count")):
+                fail(path, f"histogram count must be a non-negative integer: {row}")
+            stats = ("min", "p50", "p95", "p99", "max")
+            require_finite(path, row, ("sum",) + stats, "histogram")
+            # LogHistogram::quantile is monotone in q and clamps to the
+            # observed min and max, so this order holds by construction.
+            values = [row[k] for k in stats]
+            if values != sorted(values):
+                fail(path, f"histogram needs min <= p50 <= p95 <= p99 <= max: {row}")
+    return ", ".join(f"{n} {kind}s" for kind, n in kinds.items())
+
+
 def validate_slo(path):
     rows = load_jsonl(path)
     if not rows:
@@ -185,6 +228,7 @@ def validate_audit(path):
 
 VALIDATORS = {
     "trace": validate_trace,
+    "metrics": validate_metrics,
     "slo": validate_slo,
     "drift": validate_drift,
     "flight": validate_flight,

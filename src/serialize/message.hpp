@@ -22,7 +22,6 @@ enum class MessageType : std::uint16_t {
   kStateUpdate = 2,        // server -> client: filtered world delta
   kForwardedInput = 3,     // server -> server: interaction crossing replicas
   kEntityReplication = 4,  // server -> server: active-entity state for shadows
-  kMigrationInitiate = 5,  // server -> server: begin user hand-over
   kMigrationData = 6,      // server -> server: serialized user + entity state
   kMigrationAck = 7,       // server -> server: adoption confirmed
   kControl = 8,            // manager -> server: RMS commands

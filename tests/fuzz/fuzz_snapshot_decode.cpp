@@ -13,7 +13,9 @@
 //   mode 2    the payload split in two, fed through ONE receiver
 //             (exercises the baseline-lookup state machine: a frame
 //             decoded after another frame sees retained baselines)
-//   mode 3+   the payload as one frame for kFrameDecoders[mode - 3]
+//   mode 3+   the payload as one frame for row mode - 3 of the golden frame
+//             table (tests/wire_samples.hpp): its real decoder, then its
+//             encoder on whatever the decoder accepted
 // where mode = data[0] % kModes.
 //
 // Build shapes (tests/fuzz/CMakeLists.txt, behind -DROIA_FUZZ=ON):
@@ -34,39 +36,16 @@
 #include <span>
 #include <vector>
 
+#include "../wire_samples.hpp"
 #include "rtf/entity.hpp"
-#include "rtf/messages.hpp"
-#include "rtf/monitoring.hpp"
 #include "rtf/snapshot_codec.hpp"
 #include "serialize/byte_buffer.hpp"
 
 namespace {
 
-namespace rtf = roia::rtf;
-using roia::ser::Frame;
-using roia::ser::MessageType;
+using roia::wire_samples::kFrameSamples;
 
-struct FrameDecoder {
-  MessageType type;
-  void (*decode)(const Frame&);
-};
-
-constexpr FrameDecoder kFrameDecoders[] = {
-    {MessageType::kClientInput, [](const Frame& f) { (void)rtf::decodeClientInput(f); }},
-    {MessageType::kForwardedInput, [](const Frame& f) { (void)rtf::decodeForwardedInput(f); }},
-    {MessageType::kEntityReplication,
-     [](const Frame& f) { (void)rtf::decodeEntityReplication(f); }},
-    {MessageType::kMigrationData, [](const Frame& f) { (void)rtf::decodeMigrationData(f); }},
-    {MessageType::kMigrationAck, [](const Frame& f) { (void)rtf::decodeMigrationAck(f); }},
-    {MessageType::kZoneHandoff, [](const Frame& f) { (void)rtf::decodeZoneHandoff(f); }},
-    {MessageType::kZoneHandoffAck, [](const Frame& f) { (void)rtf::decodeZoneHandoffAck(f); }},
-    {MessageType::kBorderSync, [](const Frame& f) { (void)rtf::decodeBorderSync(f); }},
-    {MessageType::kHeartbeat, [](const Frame& f) { (void)rtf::decodeHeartbeat(f); }},
-    {MessageType::kViewReplication, [](const Frame& f) { (void)rtf::decodeViewReplication(f); }},
-    {MessageType::kReplicationAck, [](const Frame& f) { (void)rtf::decodeReplicationAck(f); }},
-    {MessageType::kMonitoring, [](const Frame& f) { (void)rtf::decodeMonitoring(f); }},
-};
-constexpr std::size_t kModes = 3 + std::size(kFrameDecoders);
+constexpr std::size_t kModes = 3 + std::size(kFrameSamples);
 
 const roia::rtf::SnapshotCodec& deltaCodec() {
   static const roia::rtf::SnapshotCodec codec = [] {
@@ -97,9 +76,9 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
   const std::size_t mode = data[0] % kModes;
   const std::span<const std::uint8_t> payload{data + 1, size - 1};
   if (mode >= 3) {
-    const FrameDecoder& decoder = kFrameDecoders[mode - 3];
+    const roia::wire_samples::FrameSample& row = kFrameSamples[mode - 3];
     try {
-      decoder.decode(Frame{decoder.type, {payload.begin(), payload.end()}});
+      (void)row.reencode(roia::ser::Frame{row.type, {payload.begin(), payload.end()}});
     } catch (const roia::ser::DecodeError&) {
     }
     return;
@@ -170,28 +149,10 @@ roia::rtf::EntitySnapshot makeEntity(std::uint64_t id) {
   return s;
 }
 
-rtf::MonitoringSnapshot makeMonitoring() {
-  rtf::MonitoringSnapshot m;
-  m.server = roia::ServerId{2};
-  m.zone = roia::ZoneId{1};
-  m.takenAt = roia::SimTime{1500000};
-  m.activeUsers = 40;
-  m.totalAvatars = 44;
-  m.npcs = 12;
-  m.tickAvgMs = 11.5;
-  m.tickP95Ms = 18.0;
-  m.tickMaxMs = 21.25;
-  m.cpuLoad = 0.5;
-  m.phaseAvgMicros.fill(250.0);
-  m.ticksObserved = 25;
-  m.degradationLevel = 1;
-  return m;
-}
-
 /// Golden seed inputs: each is a mode byte plus a payload produced by the
 /// real encoders, covering keyframe, delta-against-baseline, removals, the
-/// client field mask, an empty view, a full-codec snapshot stream, and one
-/// frame per frame decoder.
+/// client field mask, an empty view, a full-codec snapshot stream, and each
+/// golden frame table row's sample.
 std::vector<std::vector<std::uint8_t>> goldenSeeds() {
   std::vector<std::vector<std::uint8_t>> seeds;
   auto add = [&seeds](std::uint8_t mode, std::span<const std::uint8_t> payload) {
@@ -244,35 +205,8 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
     }
     add(1, stream.bytes());
   }
-  {
-    using roia::ClientId;
-    using roia::EntityId;
-    using roia::NodeId;
-    using roia::ServerId;
-    using roia::ZoneId;
-    const rtf::EntitySnapshot entity = makeEntity(5);
-    const Frame frames[] = {
-        rtf::encode(rtf::ClientInputMsg{ClientId{105}, 42, {1, 0, 0, 128, 63, 0, 0, 0, 0}, 9}),
-        rtf::encode(
-            rtf::ForwardedInputMsg{EntityId{5}, EntityId{6}, {1, 0, 0, 0, 0, 0, 0, 36, 64}}),
-        rtf::encode(rtf::EntityReplicationMsg{42, {entity, makeEntity(6)}, {EntityId{3}}}),
-        rtf::encode(rtf::MigrationDataMsg{ClientId{105}, NodeId{8}, entity, {2, 1, 7}, ServerId{2},
-                                          77}),
-        rtf::encode(rtf::MigrationAckMsg{ClientId{105}, EntityId{5}, ServerId{3}, 77}),
-        rtf::encode(rtf::ZoneHandoffMsg{ClientId{105}, NodeId{8}, ZoneId{1}, ZoneId{2}, entity,
-                                        {2, 1, 7}, ServerId{2}, NodeId{4}, 78}),
-        rtf::encode(rtf::ZoneHandoffAckMsg{ClientId{105}, EntityId{5}, ServerId{5}, ZoneId{2}, 12,
-                                           78}),
-        rtf::encode(rtf::BorderSyncMsg{42, ZoneId{1}, ServerId{2}, {entity}}),
-        rtf::encode(rtf::HeartbeatMsg{ServerId{2}, 17, roia::SimTime{1500000}}),
-        rtf::encode(rtf::ViewReplicationMsg{42, ServerId{2}, {1, 42, 0, 0}}),
-        rtf::encode(rtf::ReplicationAckMsg{ServerId{3}, 42}),
-        rtf::encodeMonitoring(makeMonitoring()),
-    };
-    static_assert(std::size(frames) == std::size(kFrameDecoders));
-    for (std::size_t i = 0; i < std::size(frames); ++i) {
-      add(static_cast<std::uint8_t>(3 + i), frames[i].payload);
-    }
+  for (std::size_t i = 0; i < std::size(kFrameSamples); ++i) {
+    add(static_cast<std::uint8_t>(3 + i), kFrameSamples[i].sample().payload);
   }
   return seeds;
 }

@@ -11,24 +11,22 @@ Checks:
  2. The call-graph fixture tree fires transitive-hot-alloc and
     determinism-taint once per site, with exact lines AND the exact
     source -> sink / hot-root -> callee chains across TUs.
- 3. The wire fixture tree drifts from its committed drifted manifest in
-    all five ways (field removed, type changed, struct added, struct
-    retired, schema reordered); regenerating the manifest makes the same
-    tree pass clean.
- 4. Deleting a field from the real rtf/messages.hpp (in a temp copy)
-    fails wire-schema-drift against the committed manifest; regenerating
-    passes — the end-to-end protocol-freeze guarantee.
- 5. The debt fixture tree flags the stale allow(), keeps the live one,
+ 3. A copy of the real protocol files (src/rtf/ + tests/wire_samples.hpp)
+    lints clean; deleting the MigrationAckMsg row from its golden-bytes
+    table gives exactly one serialization-coverage finding, at that
+    struct's declaration line; deleting the table gives one at line 1.
+ 4. The debt fixture tree flags the stale allow(), keeps the live one,
     and the JSON debt table carries both with rule/reason/liveness.
- 6. The cpp_index unit fixture parses namespaces, classes, out-of-line
+ 5. The cpp_index unit fixture parses namespaces, classes, out-of-line
     methods, overload sets, templates and ctors with init lists, with
     correct qualnames, hot flags, facts and call edges.
- 7. The real tree (src/) is clean under ALL rules: exit 0, zero findings,
+ 6. The real tree (src/) is clean under ALL rules: exit 0, zero findings,
     and every `// roia-hot` annotation marks exactly one indexed function.
- 8. --format sarif emits valid SARIF 2.1.0 with one result per finding;
+ 7. --format sarif emits valid SARIF 2.1.0 with one result per finding;
     --changed-only exits cleanly.
- 9. --list-rules and the SARIF rule metadata name exactly the rule
-    catalogue; selecting a retired rule is a usage error.
+ 8. --list-rules and the SARIF rule metadata name exactly the rule
+    catalogue; selecting a retired rule or passing a retired flag is a
+    usage error.
 """
 
 import collections
@@ -44,7 +42,6 @@ LINT = os.path.join(REPO_ROOT, "tools", "lint", "roia_lint.py")
 LINT_DIR = os.path.join(REPO_ROOT, "tests", "lint")
 FIXTURES = os.path.join(LINT_DIR, "fixtures")
 FIXTURES_CALLGRAPH = os.path.join(LINT_DIR, "fixtures_callgraph")
-FIXTURES_WIRE = os.path.join(LINT_DIR, "fixtures_wire")
 FIXTURES_DEBT = os.path.join(LINT_DIR, "fixtures_debt")
 FIXTURES_INDEX = os.path.join(LINT_DIR, "fixtures_index")
 
@@ -99,14 +96,6 @@ EXPECTED_CHAINS = {
     "determinism-taint@taint_unordered.cpp": "sumShares -> reportShares",
 }
 
-EXPECTED_WIRE_FINDINGS = {
-    ("messages.hpp", 1, "wire-schema-drift"),    # RetiredMsg gone from source
-    ("messages.hpp", 19, "wire-schema-drift"),   # PingMsg lost `nonce`
-    ("messages.hpp", 25, "wire-schema-drift"),   # PongMsg.status type changed
-    ("messages.hpp", 31, "wire-schema-drift"),   # NewMsg not in manifest
-    ("snapshot_codec.cpp", 13, "wire-schema-drift"),  # schema rows reordered
-}
-
 EXPECTED_DEBT_FINDINGS = {
     ("stale_allow.cpp", 6, "suppression-debt"),
 }
@@ -117,7 +106,7 @@ EXPECTED_DEBT_SUPPRESSED = {
 EXPECTED_RULES = {
     "ordered-iteration", "serialization-coverage", "bounded-retry",
     "audit-vocabulary", "bad-suppression", "transitive-hot-alloc",
-    "determinism-taint", "wire-schema-drift", "suppression-debt",
+    "determinism-taint", "suppression-debt",
 }
 
 
@@ -183,74 +172,47 @@ def check_callgraph_fixtures(failures):
                 f"chain {want!r}: {f['message']}")
 
 
-def check_wire_fixtures(failures):
-    drifted = os.path.join(FIXTURES_WIRE, "wire_manifest_drifted.json")
-    proc = run_lint("--assume-core", "--manifest", drifted,
-                    "--format", "json", FIXTURES_WIRE)
-    if proc.returncode != 1:
-        failures.append(f"wire: expected exit 1, got {proc.returncode}\n{proc.stderr}")
-        return
-    got = as_keys(json.loads(proc.stdout)["findings"])
-    if got != EXPECTED_WIRE_FINDINGS:
-        failures.append(
-            "wire: findings mismatch\n"
-            f"  missing:    {sorted(EXPECTED_WIRE_FINDINGS - got)}\n"
-            f"  unexpected: {sorted(got - EXPECTED_WIRE_FINDINGS)}")
-    # Regenerating the manifest from the same tree must make it pass.
+def check_wire_samples(failures):
+    """Every real *Msg struct needs a row in the golden-bytes table."""
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = os.path.join(tmp, "manifest.json")
-        proc = run_lint("--manifest", fresh, "--write-manifest", FIXTURES_WIRE)
-        if proc.returncode != 0:
-            failures.append(f"wire: --write-manifest failed\n{proc.stderr}")
-            return
-        proc = run_lint("--assume-core", "--manifest", fresh,
-                        "--format", "json", FIXTURES_WIRE)
-        if proc.returncode != 0:
-            failures.append(
-                f"wire: regenerated manifest should pass, got exit "
-                f"{proc.returncode}\n{proc.stdout}")
-
-
-def check_wire_drift_real_tree(failures):
-    """Deleting a real *Msg field without regenerating the manifest fails."""
-    with tempfile.TemporaryDirectory() as tmp:
-        rtf = os.path.join(tmp, "rtf")
+        rtf = os.path.join(tmp, "src", "rtf")
         os.makedirs(rtf)
-        for name in ("messages.hpp", "snapshot_codec.cpp", "entity.hpp"):
+        for name in ("messages.hpp", "messages.cpp", "snapshot_codec.cpp", "entity.hpp"):
             shutil.copy(os.path.join(REPO_ROOT, "src", "rtf", name), rtf)
-        hpp = os.path.join(rtf, "messages.hpp")
-        with open(hpp, encoding="utf-8") as f:
-            lines = f.readlines()
-        start = next(i for i, l in enumerate(lines)
-                     if "struct MigrationAckMsg" in l)
-        victim = next(i for i in range(start, len(lines))
-                      if "traceId" in lines[i] and ";" in lines[i])
-        del lines[victim]
-        with open(hpp, "w", encoding="utf-8") as f:
-            f.writelines(lines)
-        committed = os.path.join(REPO_ROOT, "tools", "lint", "wire_manifest.json")
-        proc = run_lint("--manifest", committed, "--format", "json", rtf)
-        if proc.returncode != 1:
-            failures.append(
-                f"wire-real: deleted field should fail lint, got exit "
-                f"{proc.returncode}\n{proc.stdout}")
+        os.makedirs(os.path.join(tmp, "tests"))
+        table = os.path.join(tmp, "tests", "wire_samples.hpp")
+        shutil.copy(os.path.join(REPO_ROOT, "tests", "wire_samples.hpp"), table)
+
+        def findings():
+            proc = run_lint("--format", "json", rtf)
+            return proc.returncode, [(os.path.basename(f["file"]), f["line"], f["rule"])
+                                     for f in json.loads(proc.stdout)["findings"]]
+
+        got = findings()
+        if got != (0, []):
+            failures.append(f"wire-samples: the copy should lint clean, got {got}")
             return
-        findings = json.loads(proc.stdout)["findings"]
-        hits = [f for f in findings if f["rule"] == "wire-schema-drift"
-                and "MigrationAckMsg" in f["message"]]
-        if len(hits) != 1 or len(findings) != 1:
-            failures.append(f"wire-real: expected exactly the MigrationAckMsg "
-                            f"drift finding, got {findings}")
-        fresh = os.path.join(tmp, "manifest.json")
-        proc = run_lint("--manifest", fresh, "--write-manifest", rtf)
-        if proc.returncode != 0:
-            failures.append(f"wire-real: --write-manifest failed\n{proc.stderr}")
-            return
-        proc = run_lint("--manifest", fresh, rtf)
-        if proc.returncode != 0:
-            failures.append(
-                f"wire-real: regenerated manifest should pass, got exit "
-                f"{proc.returncode}\n{proc.stdout}")
+        # Cut the row (its braces matched on the masked text) and its comma.
+        with open(table, encoding="utf-8") as f:
+            text = f.read()
+        start = text.index("{MessageType::kMigrationAck,")
+        end = cpp_index.match_bracket(cpp_index.mask_source(text), start, "{", "}")
+        with open(table, "w", encoding="utf-8") as f:
+            f.write(text[:start] + text[end:].lstrip(",\n "))
+        with open(os.path.join(rtf, "messages.hpp"), encoding="utf-8") as f:
+            struct_line = next(i for i, line in enumerate(f, start=1)
+                               if "struct MigrationAckMsg" in line)
+        want = (1, [("messages.hpp", struct_line, "serialization-coverage")])
+        got = findings()
+        if got != want:
+            failures.append(f"wire-samples: deleted MigrationAckMsg row should give "
+                            f"{want}, got {got}")
+        # Without the table the check must not switch off silently.
+        os.remove(table)
+        want = (1, [("messages.hpp", 1, "serialization-coverage")])
+        got = findings()
+        if got != want:
+            failures.append(f"wire-samples: a missing table should give {want}, got {got}")
 
 
 def check_debt_fixtures(failures):
@@ -383,10 +345,15 @@ def check_rule_catalogue(failures):
     listed = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
     if len(listed) != len(EXPECTED_RULES) or set(listed) != EXPECTED_RULES:
         failures.append(f"--list-rules lists {listed}, expected {sorted(EXPECTED_RULES)}")
-    for retired in ("determinism", "hot-path-alloc"):
+    for retired in ("determinism", "hot-path-alloc", "wire-schema-drift"):
         proc = run_lint("--rules", retired, "src/")
         if proc.returncode != 2:
             failures.append(f"--rules {retired}: expected usage error (exit 2), "
+                            f"got {proc.returncode}")
+    for flag in (("--manifest", "m.json"), ("--write-manifest",)):
+        proc = run_lint(*flag, "src/")
+        if proc.returncode != 2:
+            failures.append(f"{flag[0]}: expected usage error (exit 2), "
                             f"got {proc.returncode}")
 
 
@@ -394,8 +361,7 @@ def main():
     failures = []
     check_line_local_fixtures(failures)
     check_callgraph_fixtures(failures)
-    check_wire_fixtures(failures)
-    check_wire_drift_real_tree(failures)
+    check_wire_samples(failures)
     check_debt_fixtures(failures)
     check_indexer(failures)
     check_real_tree(failures)

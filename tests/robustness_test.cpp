@@ -17,10 +17,9 @@
 #include "game/player_stats.hpp"
 #include "game/state_update.hpp"
 #include "rtf/cluster.hpp"
-#include "rtf/messages.hpp"
-#include "rtf/monitoring.hpp"
 #include "serialize/message.hpp"
 #include "sim/event_queue.hpp"
+#include "wire_samples.hpp"
 
 namespace roia {
 namespace {
@@ -66,38 +65,18 @@ TEST(FuzzTest, BitflippedFramesNeverDecodeSilently) {
 }
 
 TEST(FuzzTest, MessageDecodersRejectGarbagePayloads) {
-  // Every frame decoder the server and the monitoring collector run.
-  using ser::MessageType;
-  using Decoder = void (*)(const ser::Frame&);
-  const std::pair<MessageType, Decoder> decoders[] = {
-      {MessageType::kClientInput, [](const ser::Frame& f) { (void)rtf::decodeClientInput(f); }},
-      {MessageType::kEntityReplication,
-       [](const ser::Frame& f) { (void)rtf::decodeEntityReplication(f); }},
-      {MessageType::kMigrationData, [](const ser::Frame& f) { (void)rtf::decodeMigrationData(f); }},
-      {MessageType::kForwardedInput,
-       [](const ser::Frame& f) { (void)rtf::decodeForwardedInput(f); }},
-      {MessageType::kMigrationAck, [](const ser::Frame& f) { (void)rtf::decodeMigrationAck(f); }},
-      {MessageType::kZoneHandoff, [](const ser::Frame& f) { (void)rtf::decodeZoneHandoff(f); }},
-      {MessageType::kZoneHandoffAck,
-       [](const ser::Frame& f) { (void)rtf::decodeZoneHandoffAck(f); }},
-      {MessageType::kBorderSync, [](const ser::Frame& f) { (void)rtf::decodeBorderSync(f); }},
-      {MessageType::kHeartbeat, [](const ser::Frame& f) { (void)rtf::decodeHeartbeat(f); }},
-      {MessageType::kViewReplication,
-       [](const ser::Frame& f) { (void)rtf::decodeViewReplication(f); }},
-      {MessageType::kReplicationAck,
-       [](const ser::Frame& f) { (void)rtf::decodeReplicationAck(f); }},
-      {MessageType::kMonitoring, [](const ser::Frame& f) { (void)rtf::decodeMonitoring(f); }},
-  };
+  // Every frame decoder the server and the monitoring collector run, each
+  // followed by its encoder on whatever it accepted (wire_samples.hpp).
   Rng rng(0xBEEF);
   for (int i = 0; i < 2000; ++i) {
     ser::Frame frame;
     frame.payload = randomBytes(rng, 48);
-    for (const auto& [type, decode] : decoders) {
-      frame.type = type;
+    for (const wire_samples::FrameSample& row : wire_samples::kFrameSamples) {
+      frame.type = row.type;
       // Each either throws or produces a value without UB; both are
       // acceptable — ASAN/UBSAN-clean execution is the real assertion.
       try {
-        decode(frame);
+        (void)row.reencode(frame);
       } catch (const ser::DecodeError&) {
       }
     }

@@ -1,12 +1,15 @@
-// Golden bytes for every walked wire layout. Each struct with a wire()
-// field walker gets one fixed instance with every field set to a
-// non-default value; its encoding must equal hex captured from the
-// hand-written encoders the walkers replaced, and decoding those bytes must
-// give back an equal value. Equality is checked on the wire image: the
-// decoded value must encode to the golden bytes again, which it cannot if
-// a field came back wrong or default. Serialization cost is charged per
-// encoded byte, so a layout that moves by one byte moves every measured
-// result.
+// Golden bytes for every wire layout. Each layout gets one fixed instance
+// with every field set to a non-default value; its encoding must equal hex
+// captured from the encoders in use when the case was added, and decoding
+// those bytes must give back an equal value. Equality is checked on the
+// wire image: the decoded value must encode to the golden bytes again,
+// which it cannot if a field came back wrong or default. Serialization cost
+// is charged per encoded byte, so a layout that moves by one byte moves
+// every measured result.
+//
+// Frame payloads come from the one table in wire_samples.hpp; the layouts
+// below it (snapshot entries, game payloads and the hand-written frame,
+// envelope, command and view encoders) are pinned inline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,12 +21,16 @@
 #include "game/player_stats.hpp"
 #include "game/state_update.hpp"
 #include "rtf/messages.hpp"
-#include "rtf/monitoring.hpp"
+#include "rtf/reliable.hpp"
 #include "rtf/snapshot_codec.hpp"
 #include "serialize/byte_buffer.hpp"
+#include "serialize/message.hpp"
+#include "wire_samples.hpp"
 
 namespace roia {
 namespace {
+
+using wire_samples::entity;
 
 std::string hex(std::span<const std::uint8_t> bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -35,40 +42,25 @@ std::string hex(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-rtf::EntitySnapshot snapshot(std::uint64_t id) {
-  rtf::EntitySnapshot s;
-  s.id = EntityId{id};
-  s.kind = rtf::EntityKind::kNpc;
-  s.owner = ServerId{3};
-  s.client = ClientId{7};
-  s.x = 123.625f;
-  s.y = -45.0f;
-  s.vx = 1.5f;
-  s.vy = -2.25f;
-  s.health = 87.5f;
-  s.version = 19;
-  s.appData = {0xde, 0xad, 0xbe};
-  return s;
-}
-
-/// Encodes `value` as a frame of `type`, checks the payload against
-/// `golden`, then decodes it and encodes the decoded value again.
-template <class Msg, class Decode>
-void expectFrame(const Msg& value, ser::MessageType type, Decode decode,
-                 const std::string& golden) {
-  const ser::Frame frame = rtf::encode(value);
-  EXPECT_EQ(frame.type, type);
-  EXPECT_EQ(hex(frame.payload), golden);
-  EXPECT_EQ(hex(rtf::encode(decode(frame)).payload), golden);
+/// Full-codec image of a view, for comparing decoded views.
+std::string viewHex(const rtf::SnapshotView& view) {
+  ser::ByteWriter writer;
+  for (const auto& [id, snapshot] : view) rtf::SnapshotCodec::writeSnapshot(writer, snapshot);
+  return hex(writer.bytes());
 }
 
 TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {
-  using ser::MessageType;
-
+  for (const wire_samples::FrameSample& row : wire_samples::kFrameSamples) {
+    SCOPED_TRACE(::testing::Message() << "frame type " << static_cast<int>(row.type));
+    const ser::Frame frame = row.sample();
+    EXPECT_EQ(frame.type, row.type);
+    EXPECT_EQ(hex(frame.payload), row.hex);
+    EXPECT_EQ(hex(row.reencode(frame).payload), row.hex);
+  }
   {
     SCOPED_TRACE("EntitySnapshot");
     ser::ByteWriter writer;
-    rtf::SnapshotCodec::writeSnapshot(writer, snapshot(42));
+    rtf::SnapshotCodec::writeSnapshot(writer, entity(42));
     EXPECT_EQ(hex(writer.bytes()), "2a0103070040f742000034c20000c03f000010c00000af421303deadbe");
     ser::ByteReader reader(writer.bytes());
     ser::ByteWriter again;
@@ -88,7 +80,7 @@ TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {
     base.vx = 0.5f;
     base.vy = -0.5f;
     base.version = 10;
-    const rtf::EntitySnapshot now = snapshot(42);  // on both lattices
+    const rtf::EntitySnapshot now = entity(42);  // on both lattices
     ser::ByteWriter writer;
     codec.writeEntry(writer, &base, now, rtf::kAllFields);
     EXPECT_EQ(hex(writer.bytes()), "ff07010307f405a001101b0000af421203deadbe");
@@ -101,80 +93,6 @@ TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {
     ser::ByteWriter expected;
     rtf::SnapshotCodec::writeSnapshot(expected, now);
     EXPECT_EQ(hex(again.bytes()), hex(expected.bytes()));
-  }
-
-  // Full snapshots inside messages: 2a...be is snapshot(42), ac02...be
-  // snapshot(300).
-  expectFrame(rtf::ClientInputMsg{ClientId{11}, 1234, {1, 2, 3}, 77}, MessageType::kClientInput,
-              rtf::decodeClientInput, "0bd209030102034d");
-  expectFrame(rtf::ForwardedInputMsg{EntityId{21}, EntityId{22}, {9, 8}},
-              MessageType::kForwardedInput, rtf::decodeForwardedInput, "1516020908");
-  expectFrame(rtf::EntityReplicationMsg{500, {snapshot(42), snapshot(300)},
-                                        {EntityId{5}, EntityId{300}}},
-              MessageType::kEntityReplication, rtf::decodeEntityReplication,
-              "f40302"
-              "2a0103070040f742000034c20000c03f000010c00000af421303deadbe"
-              "ac020103070040f742000034c20000c03f000010c00000af421303deadbe"
-              "0205ac02");
-  expectFrame(rtf::MigrationDataMsg{ClientId{31}, NodeId{32}, snapshot(42), {4, 5, 6}, ServerId{2},
-                                    0x1234567890},
-              MessageType::kMigrationData, rtf::decodeMigrationData,
-              "1f20"
-              "2a0103070040f742000034c20000c03f000010c00000af421303deadbe"
-              "030405060290f1d9a2a302");
-  expectFrame(rtf::MigrationAckMsg{ClientId{41}, EntityId{42}, ServerId{43}, 44},
-              MessageType::kMigrationAck, rtf::decodeMigrationAck, "292a2b2c");
-  expectFrame(rtf::ZoneHandoffMsg{ClientId{51}, NodeId{52}, ZoneId{1}, ZoneId{2}, snapshot(42),
-                                  {7}, ServerId{53}, NodeId{54}, 55},
-              MessageType::kZoneHandoff, rtf::decodeZoneHandoff,
-              "33340102"
-              "2a0103070040f742000034c20000c03f000010c00000af421303deadbe"
-              "0107353637");
-  expectFrame(rtf::ZoneHandoffAckMsg{ClientId{61}, EntityId{62}, ServerId{63}, ZoneId{64}, 65, 66},
-              MessageType::kZoneHandoffAck, rtf::decodeZoneHandoffAck, "3d3e3f404142");
-  expectFrame(rtf::BorderSyncMsg{700, ZoneId{3}, ServerId{4}, {snapshot(42)}},
-              MessageType::kBorderSync, rtf::decodeBorderSync,
-              "bc05030401"
-              "2a0103070040f742000034c20000c03f000010c00000af421303deadbe");
-  expectFrame(rtf::HeartbeatMsg{ServerId{5}, 99, SimTime{7654321}}, MessageType::kHeartbeat,
-              rtf::decodeHeartbeat, "0563e2aea607");
-  expectFrame(rtf::ViewReplicationMsg{800, ServerId{6}, {0xaa, 0xbb}},
-              MessageType::kViewReplication, rtf::decodeViewReplication, "a0060602aabb");
-  expectFrame(rtf::ReplicationAckMsg{ServerId{7}, 801}, MessageType::kReplicationAck,
-              rtf::decodeReplicationAck, "07a106");
-
-  {
-    SCOPED_TRACE("MonitoringSnapshot");
-    rtf::MonitoringSnapshot m;
-    m.server = ServerId{8};
-    m.zone = ZoneId{2};
-    m.takenAt = SimTime{5000000};
-    m.activeUsers = 120;
-    m.totalAvatars = 130;
-    m.npcs = 40;
-    m.tickAvgMs = 12.5;
-    m.tickP95Ms = 20.25;
-    m.tickMaxMs = 33.0;
-    m.cpuLoad = 0.75;
-    for (std::size_t p = 0; p < m.phaseAvgMicros.size(); ++p) {
-      m.phaseAvgMicros[p] = 100.5 + static_cast<double>(p);  // exact in F32
-    }
-    m.ticksObserved = 25;
-    m.migrationsInitiated = 3;
-    m.migrationsReceived = 4;
-    m.borderShadows = 5;
-    m.handoffsInitiated = 6;
-    m.handoffsReceived = 7;
-    m.degradationLevel = 2;
-    m.shedObservers = 9;
-    const ser::Frame frame = rtf::encodeMonitoring(m);
-    EXPECT_EQ(frame.type, MessageType::kMonitoring);
-    EXPECT_EQ(hex(frame.payload),
-              "080280ade20478820128"
-              "0000000000002940" "0000000000403440" "0000000000804040" "000000000000e83f"
-              "0000c9420000cb420000cd420000cf420000d1420000d3420000d5420000d7420000d9420000db42"
-              "1903040506070209");
-    EXPECT_EQ(hex(rtf::encodeMonitoring(rtf::decodeMonitoring(frame)).payload), hex(frame.payload));
   }
   {
     SCOPED_TRACE("PlayerStats");
@@ -209,8 +127,109 @@ TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {
   {
     SCOPED_TRACE("list count beyond the payload");
     // serverTick 1, then 200 entities announced with 2 payload bytes left.
-    const ser::Frame frame{MessageType::kEntityReplication, {0x01, 0xc8, 0x01, 0x00, 0x00}};
+    const ser::Frame frame{ser::MessageType::kEntityReplication, {0x01, 0xc8, 0x01, 0x00, 0x00}};
     EXPECT_THROW((void)rtf::decodeEntityReplication(frame), ser::DecodeError);
+  }
+}
+
+// Layouts written call by call rather than walked. Frame bytes count toward
+// bandwidth, command bytes are charged through inputDserPerByteCost and
+// view bytes through updateSerPerByteCost.
+TEST(WireLayoutTest, HandWrittenLayoutsMatchGoldenBytes) {
+  using ser::MessageType;
+  const ser::Frame ack{MessageType::kMigrationAck, {0x29, 0x2a, 0x2b, 0x2c}};
+  {
+    SCOPED_TRACE("frame header and CRC");
+    const std::vector<std::uint8_t> bytes = ser::encodeFrame(ack);
+    // magic, type, payload length, payload, CRC-32.
+    EXPECT_EQ(hex(bytes), "f152" "0700" "04" "292a2b2c" "8a1de8ec");
+    const ser::Frame decoded = ser::decodeFrame(bytes);
+    EXPECT_EQ(decoded.type, ack.type);
+    EXPECT_EQ(decoded.payload, ack.payload);
+  }
+  {
+    SCOPED_TRACE("reliable envelope and ack");
+    const ser::Frame envelope = rtf::encodeReliableEnvelope(300, ack);
+    EXPECT_EQ(envelope.type, MessageType::kReliableData);
+    EXPECT_EQ(hex(envelope.payload), "ac02" "0700" "292a2b2c");
+    const auto [seq, inner] = rtf::decodeReliableEnvelope(envelope);
+    EXPECT_EQ(seq, 300u);
+    EXPECT_EQ(inner.type, ack.type);
+    EXPECT_EQ(inner.payload, ack.payload);
+    const ser::Frame reliableAck = rtf::encodeReliableAck(300);
+    EXPECT_EQ(reliableAck.type, MessageType::kReliableAck);
+    EXPECT_EQ(hex(reliableAck.payload), "ac02");
+    EXPECT_EQ(rtf::decodeReliableAck(reliableAck), 300u);
+  }
+  {
+    SCOPED_TRACE("commands: move only");
+    game::CommandBatch batch;
+    batch.move = game::MoveCommand{Vec2{0.5, -0.75}};
+    const std::vector<std::uint8_t> bytes = game::encodeCommands(batch);
+    EXPECT_EQ(hex(bytes), "01" "0000003f" "000040bf");
+    EXPECT_EQ(game::encodeCommands(game::decodeCommands(bytes)), bytes);
+  }
+  {
+    SCOPED_TRACE("commands: move and attack");
+    game::CommandBatch batch;
+    batch.move = game::MoveCommand{Vec2{-0.25, 1.0}};
+    batch.attack = game::AttackCommand{EntityId{300}, Vec2{0.75, -1.5}};
+    const std::vector<std::uint8_t> bytes = game::encodeCommands(batch);
+    EXPECT_EQ(hex(bytes), "03" "000080be" "0000803f" "ac02" "0000403f" "0000c0bf");
+    EXPECT_EQ(game::encodeCommands(game::decodeCommands(bytes)), bytes);
+  }
+  {
+    SCOPED_TRACE("state update frame");
+    const std::uint8_t update[] = {1, 2, 3};
+    const ser::Frame frame = rtf::SnapshotCodec::encodeStateUpdate(1234, update);
+    EXPECT_EQ(frame.type, MessageType::kStateUpdate);
+    EXPECT_EQ(hex(frame.payload), "d209" "03010203");
+    const rtf::StateUpdateMsg decoded = rtf::SnapshotCodec::decodeStateUpdate(frame);
+    EXPECT_EQ(decoded.serverTick, 1234u);
+    EXPECT_EQ(hex(decoded.update), "010203");
+  }
+  {
+    SCOPED_TRACE("baseline views: keyframe, then delta with one removal");
+    rtf::ReplicationProfile profile;
+    profile.codec = rtf::ReplicationCodec::kDelta;
+    const rtf::SnapshotCodec codec{profile};
+    rtf::BaselineSender sender{codec, rtf::kAllFields};
+    rtf::BaselineReceiver receiver{codec};
+    rtf::SnapshotView view;
+    for (const std::uint64_t id : {1, 2, 300}) view.emplace(EntityId{id}, entity(id));
+
+    ser::ByteWriter keyframe;
+    EXPECT_TRUE(sender.encodeView(5, view, {}, keyframe).keyframe);
+    // keyframe flag, tick, count; per entity the id gap, then a full entry.
+    EXPECT_EQ(hex(keyframe.bytes()),
+              "01" "05" "03"
+              "01" "ff07010307f41e9f0b18230000af422603deadbe"
+              "01" "ff07010307f41e9f0b18230000af422603deadbe"
+              "aa02" "ff07010307f41e9f0b18230000af422603deadbe"
+              "00");
+    auto decoded = receiver.decodeView(keyframe.bytes());
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(viewHex(*decoded->view), viewHex(view));
+
+    sender.onAck(5);
+    view.at(EntityId{2}).x += 5.0f;
+    view.at(EntityId{2}).health -= 12.5f;
+    view.at(EntityId{2}).version += 1;
+    view.erase(EntityId{300});
+    const EntityId removed[] = {EntityId{300}};
+    ser::ByteWriter delta;
+    EXPECT_FALSE(sender.encodeView(6, view, removed, delta).keyframe);
+    // delta flag, tick, baseline tick, count; id 1 unchanged (mask 0); id 2
+    // with x, health and version; then the removed ids.
+    EXPECT_EQ(hex(delta.bytes()),
+              "00" "06" "05" "02"
+              "01" "00"
+              "01" "31" "a001" "00009642" "02"
+              "01" "ac02");
+    decoded = receiver.decodeView(delta.bytes());
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(viewHex(*decoded->view), viewHex(view));
+    EXPECT_EQ(decoded->removed, std::vector<EntityId>{EntityId{300}});
   }
 }
 

@@ -20,10 +20,12 @@ Rules (see --list-rules):
   serialization-coverage parses every *Msg struct in rtf/messages.hpp and
                          verifies each field appears in the struct's wire()
                          field walker in messages.cpp (one walker encodes
-                         and decodes, serialize/wire.hpp); also parses
-                         EntitySnapshot (rtf/entity.hpp) and verifies every
-                         field has a SnapshotField row in the kSnapshotSchema
-                         wire table of snapshot_codec.cpp.
+                         and decodes, serialize/wire.hpp) and that each
+                         struct has a golden-bytes row in
+                         tests/wire_samples.hpp; also parses EntitySnapshot
+                         (rtf/entity.hpp) and verifies every field has a
+                         SnapshotField row in the kSnapshotSchema wire table
+                         of snapshot_codec.cpp.
   bounded-retry          flags retry/retransmit/poll loops in the
                          deterministic core with no structural exit
                          (while(true), for(;;), negated-flag spins) and no
@@ -59,12 +61,6 @@ propagate those facts across function and TU boundaries):
                          containers) to observable sinks (wire writes,
                          metrics/audit/trace emission, FP accumulators);
                          flows carry the source -> sink call chain.
-  wire-schema-drift      every *Msg struct and kSnapshotSchema row is
-                         checked against the golden manifest
-                         tools/lint/wire_manifest.json (field name,
-                         declared type, wire order); any drift without a
-                         manifest regeneration (--write-manifest) in the
-                         same diff fails the lint.
   suppression-debt       inventories every well-formed allow() with rule,
                          reason and git age; an allow that no longer
                          suppresses any finding is stale and fails. The
@@ -83,7 +79,6 @@ Typical invocations:
     python3 tools/lint/roia_lint.py --format json src/ | python3 -m json.tool
     python3 tools/lint/roia_lint.py --format sarif src/ > lint.sarif
     python3 tools/lint/roia_lint.py --changed-only src/
-    python3 tools/lint/roia_lint.py --write-manifest src/
     python3 tools/lint/roia_lint.py --list-rules
 """
 
@@ -114,9 +109,10 @@ RULES = {
     ),
     "serialization-coverage": (
         "every field of every *Msg struct in rtf/messages.hpp must appear "
-        "in the struct's wire() field walker in messages.cpp, and every "
-        "EntitySnapshot field must have a SnapshotField::k<Name> row in the "
-        "kSnapshotSchema wire table of snapshot_codec.cpp"
+        "in the struct's wire() field walker in messages.cpp, every such "
+        "struct must have a golden-bytes row in tests/wire_samples.hpp, and "
+        "every EntitySnapshot field must have a SnapshotField::k<Name> row "
+        "in the kSnapshotSchema wire table of snapshot_codec.cpp"
     ),
     "bounded-retry": (
         "retry/retransmit/poll loops in the deterministic core with no "
@@ -149,12 +145,6 @@ RULES = {
         "reach an observable sink (wire bytes, metrics/audit/trace "
         "emission, FP accumulators); flows are reported with the "
         "source -> sink call chain"
-    ),
-    "wire-schema-drift": (
-        "*Msg struct fields and kSnapshotSchema rows (name, declared "
-        "type, wire order) must match tools/lint/wire_manifest.json; "
-        "intentional protocol changes regenerate it in the same diff "
-        "via --write-manifest"
     ),
     "suppression-debt": (
         "every roia-lint: allow(...) must still suppress a live finding; "
@@ -251,7 +241,7 @@ STRUCT_RE = re.compile(r"\bstruct\s+(\w+Msg)\s*\{")
 
 
 def struct_data_members(masked, open_brace, end):
-    """list of (field_name, line, declared_type): depth-1 struct members."""
+    """list of (field_name, line): depth-1 struct members."""
     fields = []
     depth = 0
     stmt = []
@@ -273,9 +263,7 @@ def struct_data_members(masked, open_brace, end):
                     text = text.split("=")[0].strip()
                     name = re.search(r"([A-Za-z_]\w*)\s*$", text)
                     if name and not text.startswith(("using", "static")):
-                        ftype = re.sub(r"\s+", " ", text[:name.start()].strip())
-                        fields.append((name.group(1),
-                                       line_of(masked, stmt_start), ftype))
+                        fields.append((name.group(1), line_of(masked, stmt_start)))
                 stmt = []
                 stmt_start = i + 1
             else:
@@ -286,7 +274,7 @@ def struct_data_members(masked, open_brace, end):
 
 
 def parse_message_structs(masked):
-    """name -> list of (field, line, type). Depth-1 data members only."""
+    """name -> list of (field, line). Depth-1 data members only."""
     structs = {}
     for m in STRUCT_RE.finditer(masked):
         open_brace = masked.find("{", m.start())
@@ -304,7 +292,7 @@ def parse_message_struct_lines(masked):
 
 
 def parse_struct_fields(masked, struct_name):
-    """Depth-1 data members of one named struct: list of (name, line, type)."""
+    """Depth-1 data members of one named struct: list of (name, line)."""
     m = re.search(r"\bstruct\s+" + re.escape(struct_name) + r"\s*\{", masked)
     if not m:
         return []
@@ -340,13 +328,39 @@ def rule_serialization_coverage(hpp_path, hpp_masked, cpp_path, cpp_masked):
                 cpp_path, 1, "serialization-coverage",
                 f"no wire() walker found for {struct}"))
             continue
-        for field, line, _ftype in fields:
+        for field, line in fields:
             if not re.search(r"\.\s*" + re.escape(field) + r"\b", body):
                 findings.append(Finding(
                     hpp_path, line, "serialization-coverage",
                     f"{struct}.{field} missing from its wire() walker in "
                     f"{os.path.basename(cpp_path)} — silent field drift"))
     return findings
+
+
+def rule_wire_sample_coverage(hpp_path, hpp_masked):
+    """Every *Msg struct needs a row in the golden-bytes table.
+
+    The table (tests/wire_samples.hpp, two levels above rtf/) pins each
+    frame type's payload byte for byte, so a message added without a row
+    would reach the wire unpinned. A struct counts as covered when its name
+    appears in the table outside comments; a missing table is a finding
+    too, so the check cannot switch itself off.
+    """
+    table = os.path.normpath(os.path.join(
+        os.path.dirname(hpp_path), os.pardir, os.pardir, "tests",
+        "wire_samples.hpp"))
+    try:
+        with open(table, encoding="utf-8") as f:
+            table_code = mask_source(f.read(), keep_literals=True)
+    except (OSError, UnicodeDecodeError) as err:
+        return [Finding(hpp_path, 1, "serialization-coverage",
+                        f"golden-bytes table {table} missing or unreadable "
+                        f"({err}); every *Msg struct needs a row there")]
+    return [Finding(hpp_path, line, "serialization-coverage",
+                    f"{struct} has no row in {table} — add its sample and "
+                    "golden hex in the same diff")
+            for struct, line in parse_message_struct_lines(hpp_masked).items()
+            if not re.search(r"\b" + struct + r"\b", table_code)]
 
 
 SNAPSHOT_SCHEMA_RE = re.compile(r"\bkSnapshotSchema\s*\[\s*\]\s*=\s*\{")
@@ -374,7 +388,7 @@ def rule_snapshot_schema_coverage(cpp_path, cpp_masked, hpp_path, hpp_masked):
     open_brace = cpp_masked.find("{", m.start())
     end = match_bracket(cpp_masked, open_brace, "{", "}")
     body = cpp_masked[open_brace:end] if end != -1 else cpp_masked[open_brace:]
-    for field, line, _ftype in fields:
+    for field, line in fields:
         enumerator = "k" + field[0].upper() + field[1:]
         if not re.search(r"\bSnapshotField\s*::\s*" + enumerator + r"\b", body):
             findings.append(Finding(
@@ -667,121 +681,6 @@ def rule_determinism_taint(index, core_files):
 
 
 # ---------------------------------------------------------------------------
-# wire-schema drift
-
-WIRE_MANIFEST_SCHEMA = "roia-wire-manifest/1"
-DEFAULT_MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "wire_manifest.json")
-
-SNAPSHOT_ROW_RE = re.compile(r"\bSnapshotField\s*::\s*k(\w+)")
-
-
-def _wire_rule_files(files, explicit):
-    """(messages.hpp, snapshot_codec.cpp, entity.hpp) paths the rule covers.
-
-    Without --manifest only the real protocol files (under an rtf/
-    directory) participate, so fixture trees that merely *contain* a
-    messages.hpp stay inert; an explicit --manifest opts any tree in.
-    """
-    def covered(path):
-        return explicit or os.path.basename(os.path.dirname(path)) == "rtf"
-
-    messages = next((p for p in files
-                     if os.path.basename(p) == "messages.hpp" and covered(p)),
-                    None)
-    codec = next((p for p in files
-                  if os.path.basename(p) == "snapshot_codec.cpp" and covered(p)),
-                 None)
-    entity = None
-    if codec is not None:
-        candidate = os.path.join(os.path.dirname(codec), "entity.hpp")
-        if os.path.isfile(candidate):
-            entity = candidate
-    return messages, codec, entity
-
-
-def extract_wire_manifest(messages_masked, entity_masked, codec_masked):
-    """The current wire contract: *Msg fields + kSnapshotSchema rows in order."""
-    manifest = {"schema": WIRE_MANIFEST_SCHEMA, "messages": {},
-                "snapshot_schema": []}
-    if messages_masked is not None:
-        for struct, fields in parse_message_structs(messages_masked).items():
-            manifest["messages"][struct] = [
-                {"field": name, "type": ftype} for name, _line, ftype in fields]
-    entity_types = {}
-    if entity_masked is not None:
-        entity_types = {name: ftype for name, _line, ftype
-                        in parse_struct_fields(entity_masked, "EntitySnapshot")}
-    if codec_masked is not None:
-        m = SNAPSHOT_SCHEMA_RE.search(codec_masked)
-        if m:
-            open_brace = codec_masked.find("{", m.start())
-            end = match_bracket(codec_masked, open_brace, "{", "}")
-            body = codec_masked[open_brace:end] if end != -1 else codec_masked[open_brace:]
-            for row in SNAPSHOT_ROW_RE.finditer(body):
-                stem = row.group(1)
-                field = stem[0].lower() + stem[1:]
-                manifest["snapshot_schema"].append({
-                    "field": field,
-                    "enum": f"SnapshotField::k{stem}",
-                    "type": entity_types.get(field, "?")})
-    return manifest
-
-
-def _field_sig(entries):
-    return [f"{e.get('field')}:{e.get('type')}" for e in entries]
-
-
-def rule_wire_schema_drift(current, manifest_path, messages_path,
-                           messages_masked, codec_path, codec_masked):
-    findings = []
-    anchor = messages_path or codec_path
-    try:
-        with open(manifest_path, encoding="utf-8") as f:
-            golden = json.load(f)
-    except (OSError, ValueError) as err:
-        return [Finding(
-            anchor, 1, "wire-schema-drift",
-            f"wire manifest {manifest_path} missing or unreadable ({err}); "
-            "generate it with `roia_lint.py --write-manifest src/` and "
-            "commit it")]
-    regen = ("wire contract changed on purpose? regenerate and commit the "
-             "manifest: `roia_lint.py --write-manifest src/`")
-    struct_lines = (parse_message_struct_lines(messages_masked)
-                    if messages_masked is not None else {})
-    cur_msgs = current["messages"]
-    gold_msgs = golden.get("messages", {})
-    for struct in sorted(set(cur_msgs) | set(gold_msgs)):
-        if struct not in gold_msgs:
-            findings.append(Finding(
-                messages_path, struct_lines.get(struct, 1), "wire-schema-drift",
-                f"struct {struct} is not in the wire manifest; {regen}"))
-        elif struct not in cur_msgs:
-            findings.append(Finding(
-                messages_path or anchor, 1, "wire-schema-drift",
-                f"struct {struct} is in the wire manifest but gone from the "
-                f"source; {regen}"))
-        elif _field_sig(cur_msgs[struct]) != _field_sig(gold_msgs[struct]):
-            findings.append(Finding(
-                messages_path, struct_lines.get(struct, 1), "wire-schema-drift",
-                f"{struct} wire fields drifted from the manifest: source "
-                f"[{', '.join(_field_sig(cur_msgs[struct]))}] vs manifest "
-                f"[{', '.join(_field_sig(gold_msgs[struct]))}]; {regen}"))
-    if codec_masked is not None:
-        cur_rows = _field_sig(current["snapshot_schema"])
-        gold_rows = _field_sig(golden.get("snapshot_schema", []))
-        if cur_rows != gold_rows:
-            m = SNAPSHOT_SCHEMA_RE.search(codec_masked)
-            line = line_of(codec_masked, m.start()) if m else 1
-            findings.append(Finding(
-                codec_path, line, "wire-schema-drift",
-                f"kSnapshotSchema drifted from the manifest: source "
-                f"[{', '.join(cur_rows)}] vs manifest "
-                f"[{', '.join(gold_rows)}]; {regen}"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # suppression-debt
 
 def git_age_days(path, line):
@@ -861,16 +760,13 @@ def collect_files(paths):
     return files
 
 
-def lint_files(files, assume_core=False, graph_files=None,
-               manifest_path=None, manifest_explicit=False):
+def lint_files(files, assume_core=False, graph_files=None):
     """(findings, suppressed, suppression-debt table) over `files`.
 
     `graph_files` (default: `files`) is the file set the whole-program
     index covers; --changed-only passes the full tree here while linting
     only the changed subset, so call-graph rules still see every edge but
-    only report into the subset. `manifest_path`/`manifest_explicit`
-    configure the wire-schema-drift golden file (explicit opts fixture
-    trees into the rule; by default only rtf/ protocol files participate).
+    only report into the subset.
     """
     findings = []
     suppressed = []
@@ -914,6 +810,11 @@ def lint_files(files, assume_core=False, graph_files=None,
                 path, mask_source(raw, keep_literals=True), audit_vocab)
 
         if os.path.basename(path) == "messages.hpp":
+            # Only the real protocol header (under rtf/) has a golden-bytes
+            # table; fixture trees that merely contain a messages.hpp stay
+            # out of the check.
+            if os.path.basename(os.path.dirname(path)) == "rtf":
+                file_findings += rule_wire_sample_coverage(path, masked)
             cpp = os.path.splitext(path)[0] + ".cpp"
             if os.path.isfile(cpp):
                 cpp_masked = index.masked.get(cpp) or read_masked(cpp)
@@ -954,23 +855,6 @@ def lint_files(files, assume_core=False, graph_files=None,
             continue
         allows = allows_by_file.get(finding.file, {})
         (suppressed if is_suppressed(finding, allows) else findings).append(finding)
-
-    # Wire-schema drift against the golden manifest.
-    messages_path, codec_path, entity_path = _wire_rule_files(
-        files, manifest_explicit)
-    if messages_path is not None or codec_path is not None:
-        entity_masked = None
-        if entity_path is not None:
-            entity_masked = index.masked.get(entity_path) or read_masked(entity_path)
-        current = extract_wire_manifest(
-            index.masked.get(messages_path), entity_masked,
-            index.masked.get(codec_path))
-        for finding in rule_wire_schema_drift(
-                current, manifest_path or DEFAULT_MANIFEST,
-                messages_path, index.masked.get(messages_path),
-                codec_path, index.masked.get(codec_path)):
-            allows = allows_by_file.get(finding.file, {})
-            (suppressed if is_suppressed(finding, allows) else findings).append(finding)
 
     # Suppression debt: needs the final suppressed list, so it runs last.
     debt, stale = suppression_debt(allows_by_file, suppressed)
@@ -1065,13 +949,6 @@ def main():
     parser.add_argument("--assume-core", action="store_true",
                         help="treat every scanned file as deterministic-core "
                              "(used by the fixture self-test)")
-    parser.add_argument("--manifest", default=None, metavar="PATH",
-                        help="wire manifest to check against (default: "
-                             "tools/lint/wire_manifest.json; passing this "
-                             "also opts non-rtf/ trees into the rule)")
-    parser.add_argument("--write-manifest", action="store_true",
-                        help="regenerate the wire manifest from the scanned "
-                             "tree and exit (0 on success)")
     parser.add_argument("--changed-only", action="store_true",
                         help="lint only files changed vs git HEAD (plus "
                              "same-stem siblings and call-graph neighbors); "
@@ -1099,35 +976,12 @@ def main():
         print(f"ERROR: no such file or directory: {err}", file=sys.stderr)
         return 2
 
-    manifest_path = args.manifest or DEFAULT_MANIFEST
-
-    if args.write_manifest:
-        messages_path, codec_path, entity_path = _wire_rule_files(
-            files, args.manifest is not None)
-        if messages_path is None and codec_path is None:
-            print("ERROR: --write-manifest found no rtf/messages.hpp or "
-                  "rtf/snapshot_codec.cpp in the scanned paths",
-                  file=sys.stderr)
-            return 2
-
-        manifest = extract_wire_manifest(
-            *(read_masked(p) if p else None
-              for p in (messages_path, entity_path, codec_path)))
-        with open(manifest_path, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=False)
-            f.write("\n")
-        print(f"wrote {manifest_path}: {len(manifest['messages'])} message "
-              f"struct(s), {len(manifest['snapshot_schema'])} snapshot row(s)")
-        return 0
-
     graph_files = files
     if args.changed_only:
         files = changed_subset(files, cpp_index.build_index(graph_files))
 
     findings, suppressed, debt = lint_files(
-        files, assume_core=args.assume_core, graph_files=graph_files,
-        manifest_path=manifest_path,
-        manifest_explicit=args.manifest is not None)
+        files, assume_core=args.assume_core, graph_files=graph_files)
     if selected is not None:
         findings = [f for f in findings if f.rule in selected]
         suppressed = [f for f in suppressed if f.rule in selected]
