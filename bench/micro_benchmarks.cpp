@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the substrate hot paths: framing and
-// serialization, the FPS application's AOI / attack scans, tick-model and
-// threshold evaluation, and the fitting pipeline.
+// serialization, delta view replication, the FPS application's AOI / attack
+// scans, tick-model and threshold evaluation, and the fitting pipeline.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -13,6 +13,7 @@
 #include "model/thresholds.hpp"
 #include "model/tick_model.hpp"
 #include "rtf/messages.hpp"
+#include "rtf/snapshot_codec.hpp"
 #include "serialize/byte_buffer.hpp"
 #include "serialize/message.hpp"
 #include "sim/event_queue.hpp"
@@ -77,6 +78,90 @@ void BM_ReplicationMessage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReplicationMessage)->Arg(32)->Arg(128)->Arg(512);
+
+/// A client-link view of n entities as the server gathers it: ascending
+/// ids, pose, health and client, no appData.
+rtf::SnapshotView clientView(std::size_t n) {
+  Rng rng(3);
+  rtf::SnapshotView view(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rtf::EntitySnapshot& s = view[i];
+    s.id = EntityId{2 * i + 1};
+    s.owner = ServerId{1};
+    s.client = ClientId{static_cast<std::uint32_t>(i + 1)};
+    s.x = static_cast<float>(rng.uniform(400, 600));
+    s.y = static_cast<float>(rng.uniform(400, 600));
+    s.health = 100.0f;
+  }
+  return view;
+}
+
+/// One steady-state tick: a fifth of the entities move, back and forth so
+/// encoded sizes stay bounded however long the benchmark runs.
+void moveFifth(rtf::SnapshotView& view, std::uint64_t tick) {
+  const float step = (tick / 5) % 2 == 0 ? 0.5f : -0.5f;
+  for (std::size_t i = tick % 5; i < view.size(); i += 5) {
+    view[i].x += step;
+    view[i].y -= step;
+  }
+}
+
+rtf::ReplicationProfile deltaProfile() {
+  rtf::ReplicationProfile profile;
+  profile.codec = rtf::ReplicationCodec::kDelta;
+  return profile;
+}
+
+// One client link in steady state: every view is acked before the next, so
+// each encode diffs against the previous tick (plus the periodic keyframe).
+void BM_DeltaEncodeView(benchmark::State& state) {
+  const rtf::SnapshotCodec codec{deltaProfile()};
+  rtf::BaselineSender sender{codec, rtf::kClientViewFields};
+  rtf::SnapshotView view = clientView(static_cast<std::size_t>(state.range(0)));
+  ser::ByteWriter out;
+  std::uint64_t tick = 0;
+  for (auto _ : state) {
+    moveFifth(view, ++tick);
+    out.clear();
+    const auto result = sender.encodeView(tick, view, {}, out);
+    sender.onAck(tick);
+    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(out.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_DeltaEncodeView)->Arg(16)->Arg(64)->Arg(256);
+
+// The receiving end of the same link: two keyframe intervals of frames,
+// decoded in order and replayed from the first keyframe after a reset.
+void BM_DeltaDecodeView(benchmark::State& state) {
+  const rtf::SnapshotCodec codec{deltaProfile()};
+  std::vector<std::vector<std::uint8_t>> frames;
+  {
+    rtf::BaselineSender sender{codec, rtf::kClientViewFields};
+    rtf::SnapshotView view = clientView(static_cast<std::size_t>(state.range(0)));
+    for (std::uint64_t tick = 1; tick <= 2 * codec.profile().keyframeInterval; ++tick) {
+      moveFifth(view, tick);
+      ser::ByteWriter out;
+      sender.encodeView(tick, view, {}, out);
+      sender.onAck(tick);
+      frames.push_back(std::move(out).take());
+    }
+  }
+  rtf::BaselineReceiver receiver{codec};
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == frames.size()) {
+      receiver.reset();
+      next = 0;
+    }
+    auto decoded = receiver.decodeView(frames[next++]);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_DeltaDecodeView)->Arg(16)->Arg(64)->Arg(256);
 
 /// World populated with n avatars clustered for maximum AOI work.
 rtf::World denseWorld(std::size_t n) {

@@ -44,16 +44,16 @@ void BotProvider::onStateUpdate(std::span<const std::uint8_t> update) {
 }
 
 void BotProvider::onStateView(std::uint64_t serverTick, ClientId self,
-                              const rtf::SnapshotView& view) {
+                              std::span<const rtf::EntitySnapshot> view) {
   (void)serverTick;
   // Same seen-list as the full codec: the view carries the bot's own avatar
   // too (it is the baseline for the client's own state), which the full
   // update reports as `self`, not as a visible entity — filter it out. The
-  // map iterates in ascending id order, matching the slot-ordered full list.
+  // view ascends by id, matching the slot-ordered full list.
   seenEntities_.clear();
-  for (const auto& [id, snapshot] : view) {
+  for (const rtf::EntitySnapshot& snapshot : view) {
     if (snapshot.client == self) continue;
-    seenEntities_.push_back(id);
+    seenEntities_.push_back(snapshot.id);
   }
 }
 

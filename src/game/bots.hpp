@@ -32,7 +32,7 @@ class BotProvider final : public rtf::InputProvider {
   std::vector<std::uint8_t> nextCommands(SimTime now, Rng& rng) override;
   void onStateUpdate(std::span<const std::uint8_t> update) override;
   void onStateView(std::uint64_t serverTick, ClientId self,
-                   const rtf::SnapshotView& view) override;
+                   std::span<const rtf::EntitySnapshot> view) override;
 
   [[nodiscard]] std::size_t lastVisibleCount() const { return seenEntities_.size(); }
   [[nodiscard]] std::uint64_t attacksIssued() const { return attacksIssued_; }

@@ -102,7 +102,8 @@ void ProtocolTracker::writeJsonl(std::ostream& out) const {
     for (std::size_t o = 0; o < kProtocolOutcomeCount; ++o) {
       if (o != 0) line.push_back(',');
       appendJsonString(line, kOutcomeNames.at(o));
-      line += ":" + std::to_string(outcomes_.at(i).at(o));
+      line += ':';
+      line += std::to_string(outcomes_.at(i).at(o));
     }
     line += "},\"open\":" + std::to_string(openByProtocol.at(i));
     line += "}";

@@ -75,7 +75,7 @@ void ClientEndpoint::onFrame(NodeId from, const ser::Frame& frame) {
     }
     lastUpdateAt_ = sim_.now();
     ++updatesReceived_;
-    provider_->onStateView(decoded->serverTick, id_, *decoded->view);
+    provider_->onStateView(decoded->serverTick, id_, decoded->view);
     return;
   }
   if (frame.type != ser::MessageType::kStateUpdate) return;

@@ -29,8 +29,10 @@ class InputProvider {
   /// Called when a state update arrives from the server.
   virtual void onStateUpdate(std::span<const std::uint8_t> update) = 0;
   /// Called when a delta-codec view arrives (delta replication only).
-  /// `view` is the full reconstructed visible set for `serverTick`.
-  virtual void onStateView(std::uint64_t serverTick, ClientId self, const SnapshotView& view) {
+  /// `view` is the full reconstructed visible set for `serverTick`, in
+  /// ascending id order; it is valid only during the call.
+  virtual void onStateView(std::uint64_t serverTick, ClientId self,
+                           std::span<const EntitySnapshot> view) {
     (void)serverTick;
     (void)self;
     (void)view;

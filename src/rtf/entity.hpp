@@ -155,17 +155,31 @@ struct EntitySnapshot {
   /// entity field names.
   template <class E>
   static EntitySnapshot of(const E& e) {
-    return EntitySnapshot{e.id,
-                          e.kind,
-                          e.owner,
-                          e.client,
-                          static_cast<float>(e.position.x),
-                          static_cast<float>(e.position.y),
-                          static_cast<float>(e.velocity.x),
-                          static_cast<float>(e.velocity.y),
-                          static_cast<float>(e.health),
-                          e.version,
-                          e.appData};
+    EntitySnapshot s;
+    s.assignFrom(e, true);
+    return s;
+  }
+
+  /// Overwrites this snapshot with `e`'s state in place, reusing appData's
+  /// capacity. Without `withAppData` appData is left empty: client views
+  /// never send it, so their gathers skip the copy.
+  template <class E>
+  void assignFrom(const E& e, bool withAppData) {
+    id = e.id;
+    kind = e.kind;
+    owner = e.owner;
+    client = e.client;
+    x = static_cast<float>(e.position.x);
+    y = static_cast<float>(e.position.y);
+    vx = static_cast<float>(e.velocity.x);
+    vy = static_cast<float>(e.velocity.y);
+    health = static_cast<float>(e.health);
+    version = e.version;
+    if (withAppData) {
+      appData.assign(e.appData.begin(), e.appData.end());
+    } else {
+      appData.clear();
+    }
   }
 
   template <class E>

@@ -10,6 +10,17 @@
 #include "obs/events.hpp"
 
 namespace roia::rtf {
+namespace {
+
+/// Entry `n` of a scratch view that only grows, so every entry keeps its
+/// appData capacity from one gather to the next; callers pass the first
+/// `n` entries on as the view.
+EntitySnapshot& scratchEntry(SnapshotView& scratch, std::size_t n) {
+  if (n == scratch.size()) scratch.emplace_back();
+  return scratch[n];
+}
+
+}  // namespace
 
 Server::Server(ServerId id, ZoneId zone, Application& app, sim::Simulation& simulation,
                net::Network& network, ServerConfig config, Rng rng)
@@ -624,7 +635,7 @@ void Server::processReplication() {
     const auto decoded = receiver->second.decodeView(msg.view);
     if (!decoded) continue;  // stale tick or lost baseline; sender keyframes
     PhaseScope scope(meter_, Phase::kFa);
-    for (const auto& [entityId, snapshot] : *decoded->view) applyShadowSnapshot(snapshot);
+    for (const EntitySnapshot& snapshot : decoded->view) applyShadowSnapshot(snapshot);
     for (const EntityId removed : decoded->removed) retireShadow(removed);
     // Best-effort baseline ack: a lost ack only delays delta compression
     // (the sender keyframes once its window expires).
@@ -812,27 +823,34 @@ void Server::sendStateUpdates() {
       });
     }
     if (config_.replication.codec == ReplicationCodec::kDelta) {
-      // Delta codec: gather the visible set (plus the viewer itself) into a
-      // view and diff it against this link's acked baseline.
-      SnapshotView view;
-      view.emplace(viewer->id, EntitySnapshot::of(*viewer));
+      // Delta codec: gather the visible set plus the viewer itself into the
+      // scratch view and diff it against this link's acked baseline. The
+      // AOI slots ascend and slot order is id order, so merging the viewer
+      // in at its id keeps the view sorted.
+      std::size_t n = 0;
+      bool viewerGathered = false;
       for (const std::uint32_t slot : aoiScratch_) {
-        const ConstEntityRef e = std::as_const(world_).refAt(slot);
-        view.emplace(e.id, EntitySnapshot::of(e));
+        if (!viewerGathered && world_.ids()[slot] > viewer->id.value) {
+          scratchEntry(viewScratch_, n++).assignFrom(*viewer, false);
+          viewerGathered = true;
+        }
+        scratchEntry(viewScratch_, n++).assignFrom(std::as_const(world_).refAt(slot), false);
       }
+      if (!viewerGathered) scratchEntry(viewScratch_, n++).assignFrom(*viewer, false);
+      const std::span<const EntitySnapshot> view(viewScratch_.data(), n);
       meter_.charge(config_.replication.deltaGatherPerEntityCost *
                     static_cast<double>(view.size()));
       if (session.sender == nullptr) {
         session.sender = std::make_unique<BaselineSender>(codec_, kClientViewFields);
       }
       ser::ByteWriter writer(32 + view.size() * 8);
-      session.sender->encodeView(tickSeq_, std::move(view), {}, writer);
+      session.sender->encodeView(tickSeq_, view, {}, writer);
       meter_.charge(config_.updateSerBaseCost +
                     config_.updateSerPerByteCost * static_cast<double>(writer.size()));
       ser::Frame frame;
       frame.type = ser::MessageType::kViewUpdate;
       frame.payload = std::move(writer).take();
-      net_.send(node_, session.clientNode, frame);
+      net_.send(node_, session.clientNode, std::move(frame));
       continue;
     }
     app_.buildStateUpdate(world_, *viewer, aoiScratch_, meter_, updateScratch_);
@@ -882,15 +900,14 @@ void Server::sendReplicaSyncDelta() {
     replicaSenders_.clear();
     return;
   }
-  // Owned entities, gathered once; every peer link diffs the same view
-  // against its own acked baseline.
-  SnapshotView view;
-  world_.forEach([this, &view](ConstEntityRef e) {
-    if (e.owner == id_) view.emplace(e.id, EntitySnapshot::of(e));
+  // Owned entities, gathered once in id order; every peer link diffs the
+  // same view against its own acked baseline.
+  std::size_t n = 0;
+  world_.forEach([this, &n](ConstEntityRef e) {
+    if (e.owner == id_) scratchEntry(viewScratch_, n++).assignFrom(e, true);
   });
-  std::vector<EntityId> removed = std::move(departedEntities_);
-  departedEntities_.clear();
-  if (view.empty() && removed.empty()) return;
+  const std::span<const EntitySnapshot> view(viewScratch_.data(), n);
+  if (view.empty() && departedEntities_.empty()) return;
 
   if (telemetry_ != nullptr) {
     // One fan-out flow per sync round; each peer's receive ends it.
@@ -902,7 +919,7 @@ void Server::sendReplicaSyncDelta() {
     auto [sender, inserted] = replicaSenders_.try_emplace(serverId, replicaCodec_, kAllFields);
     (void)inserted;
     ser::ByteWriter writer(32 + view.size() * 16);
-    sender->second.encodeView(tickSeq_, view, removed, writer);
+    sender->second.encodeView(tickSeq_, view, departedEntities_, writer);
     ViewReplicationMsg msg{tickSeq_, id_, std::move(writer).take()};
     const ser::Frame frame = encode(msg);
     // Encoded per peer (each link has its own baseline), so serialization
@@ -912,6 +929,7 @@ void Server::sendReplicaSyncDelta() {
                         config_.replSerPerByteCost * static_cast<double>(frame.payload.size()));
     reliable_->send(nodeId, frame);
   }
+  departedEntities_.clear();
 }
 
 void Server::sendBorderSync() {

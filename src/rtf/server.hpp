@@ -294,7 +294,7 @@ class Server : public ForwardSink {
     std::uint64_t traceId{0};
     /// Delta-codec baseline tracker for this client link; created lazily on
     /// the first delta state update (null in full mode).
-    std::unique_ptr<BaselineSender> sender;
+    std::unique_ptr<BaselineSender> sender{};
   };
 
   struct PendingMigration {
@@ -369,6 +369,9 @@ class Server : public ForwardSink {
   SnapshotCodec replicaCodec_;
   std::map<ServerId, BaselineSender> replicaSenders_;
   std::map<ServerId, BaselineReceiver> replicaReceivers_;
+  /// Gather buffer for client and replica views; it only grows, so its
+  /// entries are reused tick after tick.
+  SnapshotView viewScratch_;
 
   // Inboxes drained at the next tick. Each entry carries the payload byte
   // count so deserialization cost can be charged inside the tick, plus the

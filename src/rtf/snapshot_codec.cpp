@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace roia::rtf {
 namespace {
+
+// The implicit default baseline entry of keyframes and spawns.
+const EntitySnapshot kDefaultEntry{};
 
 // One lattice step per world unit times scale; symmetric rounding so the
 // quantization error bound |decoded - true| <= 0.5/scale holds everywhere.
@@ -108,6 +113,39 @@ void wireEntry(IO& io, const EntitySnapshot& from, ser::WireRef<IO, EntitySnapsh
   }
 }
 
+/// One merge-walk step: advances `cursor` through the id-ascending `view`
+/// to `id` and returns that entry, or nullptr when `view` has none. Ids
+/// visited in ascending order cost one pass over `view` in total.
+const EntitySnapshot* seek(std::span<const EntitySnapshot> view, std::size_t& cursor,
+                           EntityId id) {
+  while (cursor < view.size() && view[cursor].id.value < id.value) ++cursor;
+  return cursor < view.size() && view[cursor].id == id ? &view[cursor] : nullptr;
+}
+
+RetainedView* findLive(std::vector<RetainedView>& slots, std::uint64_t tick) {
+  for (RetainedView& slot : slots) {
+    if (slot.live && slot.tick == tick) return &slot;
+  }
+  return nullptr;
+}
+
+/// Makes `staging` the live view of `tick`: it replaces that tick's view if
+/// one is live, else takes over a dead slot (a new one only when none is
+/// dead). `staging` gets the slot's previous buffer back for the next view.
+RetainedView& retain(std::vector<RetainedView>& slots, std::uint64_t tick,
+                     SnapshotView& staging) {
+  RetainedView* slot = findLive(slots, tick);
+  if (slot == nullptr) {
+    auto dead = std::find_if(slots.begin(), slots.end(),
+                             [](const RetainedView& s) { return !s.live; });
+    slot = dead != slots.end() ? &*dead : &slots.emplace_back();
+  }
+  slot->tick = tick;
+  slot->live = true;
+  slot->view.swap(staging);
+  return *slot;
+}
+
 }  // namespace
 
 std::span<const SnapshotSchemaRow> snapshotSchema() { return kSnapshotSchema; }
@@ -191,119 +229,129 @@ StateUpdateMsg SnapshotCodec::decodeStateUpdate(const ser::Frame& frame) {
   return msg;
 }
 
-EntitySnapshot SnapshotCodec::quantized(const EntitySnapshot& snapshot) const {
-  EntitySnapshot out = snapshot;
+// roia-hot
+void SnapshotCodec::quantize(EntitySnapshot& s) const {
   if (profile_.positionScale > 0.0) {
-    out.x = dequant(quant(out.x, profile_.positionScale), profile_.positionScale);
-    out.y = dequant(quant(out.y, profile_.positionScale), profile_.positionScale);
+    s.x = dequant(quant(s.x, profile_.positionScale), profile_.positionScale);
+    s.y = dequant(quant(s.y, profile_.positionScale), profile_.positionScale);
   }
   if (profile_.velocityScale > 0.0) {
-    out.vx = dequant(quant(out.vx, profile_.velocityScale), profile_.velocityScale);
-    out.vy = dequant(quant(out.vy, profile_.velocityScale), profile_.velocityScale);
+    s.vx = dequant(quant(s.vx, profile_.velocityScale), profile_.velocityScale);
+    s.vy = dequant(quant(s.vy, profile_.velocityScale), profile_.velocityScale);
   }
-  return out;
 }
 
 FieldMask SnapshotCodec::changedFields(const EntitySnapshot& base, const EntitySnapshot& now,
                                        FieldMask allowed) const {
+  // Fields outside `allowed` are never compared: a client link skips the
+  // velocity lattice and the appData bytes it never sends.
   FieldMask mask = 0;
-  if (!scaledEqual(base.x, now.x, profile_.positionScale)) mask |= fieldBit(SnapshotField::kX);
-  if (!scaledEqual(base.y, now.y, profile_.positionScale)) mask |= fieldBit(SnapshotField::kY);
-  if (!scaledEqual(base.vx, now.vx, profile_.velocityScale)) mask |= fieldBit(SnapshotField::kVx);
-  if (!scaledEqual(base.vy, now.vy, profile_.velocityScale)) mask |= fieldBit(SnapshotField::kVy);
-  if (base.health != now.health) mask |= fieldBit(SnapshotField::kHealth);
-  if (base.version != now.version) mask |= fieldBit(SnapshotField::kVersion);
-  if (base.kind != now.kind) mask |= fieldBit(SnapshotField::kKind);
-  if (base.owner != now.owner) mask |= fieldBit(SnapshotField::kOwner);
-  if (base.client != now.client) mask |= fieldBit(SnapshotField::kClient);
-  if (base.appData != now.appData) mask |= fieldBit(SnapshotField::kAppData);
-  return static_cast<FieldMask>(mask & allowed);
+  const auto mark = [&mask, allowed](SnapshotField field, auto differs) {
+    if ((allowed & fieldBit(field)) != 0 && differs()) mask |= fieldBit(field);
+  };
+  mark(SnapshotField::kX, [&] { return !scaledEqual(base.x, now.x, profile_.positionScale); });
+  mark(SnapshotField::kY, [&] { return !scaledEqual(base.y, now.y, profile_.positionScale); });
+  mark(SnapshotField::kVx, [&] { return !scaledEqual(base.vx, now.vx, profile_.velocityScale); });
+  mark(SnapshotField::kVy, [&] { return !scaledEqual(base.vy, now.vy, profile_.velocityScale); });
+  mark(SnapshotField::kHealth, [&] { return base.health != now.health; });
+  mark(SnapshotField::kVersion, [&] { return base.version != now.version; });
+  mark(SnapshotField::kKind, [&] { return base.kind != now.kind; });
+  mark(SnapshotField::kOwner, [&] { return base.owner != now.owner; });
+  mark(SnapshotField::kClient, [&] { return base.client != now.client; });
+  mark(SnapshotField::kAppData, [&] { return base.appData != now.appData; });
+  return mask;
 }
 
 // roia-hot
 void SnapshotCodec::writeEntry(ser::ByteWriter& writer, const EntitySnapshot* base,
                                const EntitySnapshot& now, FieldMask mask) const {
-  static const EntitySnapshot kDefault{};
   ser::WireOut out(writer);
-  wireEntry(out, base != nullptr ? *base : kDefault, now, mask, profile_);
+  wireEntry(out, base != nullptr ? *base : kDefaultEntry, now, mask, profile_);
 }
 
-EntitySnapshot SnapshotCodec::readEntry(ser::ByteReader& reader, EntityId id,
-                                        const SnapshotView* baseline) const {
-  EntitySnapshot s;
-  if (baseline != nullptr) {
-    auto it = baseline->find(id);
-    if (it != baseline->end()) s = it->second;
-  }
-  s.id = id;
+// roia-hot
+void SnapshotCodec::readEntry(ser::ByteReader& reader, EntityId id, const EntitySnapshot* base,
+                              EntitySnapshot& out) const {
+  out = base != nullptr ? *base : kDefaultEntry;
+  out.id = id;
   ser::WireIn in(reader);
   FieldMask mask = 0;
-  wireEntry(in, s, s, mask, profile_);
-  return s;
+  wireEntry(in, out, out, mask, profile_);
 }
 
-BaselineSender::EncodeResult BaselineSender::encodeView(std::uint64_t tick, SnapshotView view,
+// roia-hot
+BaselineSender::EncodeResult BaselineSender::encodeView(std::uint64_t tick,
+                                                        std::span<const EntitySnapshot> view,
                                                         std::span<const EntityId> removed,
                                                         ser::ByteWriter& out) {
   const ReplicationProfile& profile = codec_->profile();
-  for (auto& [id, snap] : view) snap = codec_->quantized(snap);
+  staging_.resize(view.size());
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    if (i > 0 && view[i].id.value <= view[i - 1].id.value) {
+      throw std::invalid_argument("encodeView: view ids must be strictly ascending");
+    }
+    staging_[i] = view[i];
+    codec_->quantize(staging_[i]);
+  }
 
-  const bool baselineUsable = hasAcked_ && tick >= ackedTick_ &&
-                              tick - ackedTick_ <= profile.baselineAckWindow &&
-                              sent_.find(ackedTick_) != sent_.end();
+  const RetainedView* acked = hasAcked_ ? findLive(sent_, ackedTick_) : nullptr;
+  const bool baselineUsable = acked != nullptr && tick >= ackedTick_ &&
+                              tick - ackedTick_ <= profile.baselineAckWindow;
   const bool periodicDue =
       !sentAny_ || profile.keyframeInterval == 0 || tick - lastKeyframeTick_ >= profile.keyframeInterval;
   const bool keyframe = !baselineUsable || periodicDue;
 
   out.writeU8(keyframe ? 1 : 0);
   out.writeVarU64(tick);
-  const SnapshotView* baseline = nullptr;
+  std::span<const EntitySnapshot> baseline;
   if (!keyframe) {
     out.writeVarU64(ackedTick_);
-    baseline = &sent_.at(ackedTick_);
+    baseline = acked->view;
   }
 
-  // Entries walk the view in ascending id order (std::map), so ids are
-  // gap-encoded: the first absolute, the rest as the (positive) difference
-  // from the previous entry — one byte for dense id ranges.
-  out.writeVarU64(view.size());
+  // Entries walk the view in ascending id order, so ids are gap-encoded:
+  // the first absolute, the rest as the (positive) difference from the
+  // previous entry — one byte for dense id ranges. The baseline ascends
+  // too, so one merge walk finds every entry's base.
+  out.writeVarU64(staging_.size());
   std::uint64_t prevId = 0;
-  for (const auto& [id, snap] : view) {
-    out.writeVarU64(id.value - prevId);
-    prevId = id.value;
-    const EntitySnapshot* base = nullptr;
-    if (baseline != nullptr) {
-      auto it = baseline->find(id);
-      if (it != baseline->end()) base = &it->second;
-    }
-    static const EntitySnapshot kDefault{};
-    const FieldMask mask = codec_->changedFields(base != nullptr ? *base : kDefault, snap, fields_);
+  std::size_t cursor = 0;
+  for (const EntitySnapshot& snap : staging_) {
+    out.writeVarU64(snap.id.value - prevId);
+    prevId = snap.id.value;
+    const EntitySnapshot* base = seek(baseline, cursor, snap.id);
+    const FieldMask mask =
+        codec_->changedFields(base != nullptr ? *base : kDefaultEntry, snap, fields_);
     codec_->writeEntry(out, base, snap, mask);
   }
-  std::vector<std::uint64_t> removedIds;
-  removedIds.reserve(removed.size());
-  for (const EntityId id : removed) removedIds.push_back(id.value);
-  std::sort(removedIds.begin(), removedIds.end());
-  out.writeVarU64(removedIds.size());
+  removedIds_.clear();
+  for (const EntityId id : removed) removedIds_.push_back(id.value);
+  std::sort(removedIds_.begin(), removedIds_.end());
+  out.writeVarU64(removedIds_.size());
   prevId = 0;
-  for (const std::uint64_t id : removedIds) {
+  for (const std::uint64_t id : removedIds_) {
     out.writeVarU64(id - prevId);
     prevId = id;
   }
 
-  const EncodeResult result{keyframe, view.size()};
+  const EncodeResult result{keyframe, staging_.size()};
   if (keyframe) lastKeyframeTick_ = tick;
   sentAny_ = true;
-  sent_.insert_or_assign(tick, std::move(view));
+  retain(sent_, tick, staging_);
 
   // Retained views are bounded: keep enough history to cover acks that are
-  // still in flight, never evicting the acked baseline itself.
+  // still in flight, evicting the oldest view but never the acked baseline.
   const std::size_t cap = static_cast<std::size_t>(2 * profile.baselineAckWindow + 2);
-  while (sent_.size() > cap) {
-    auto it = sent_.begin();
-    if (hasAcked_ && it->first == ackedTick_) ++it;
-    if (it == sent_.end()) break;
-    sent_.erase(it);
+  std::size_t live = 0;
+  for (const RetainedView& slot : sent_) live += slot.live ? 1 : 0;
+  for (; live > cap; --live) {
+    RetainedView* oldest = nullptr;
+    for (RetainedView& slot : sent_) {
+      if (!slot.live || (hasAcked_ && slot.tick == ackedTick_)) continue;
+      if (oldest == nullptr || slot.tick < oldest->tick) oldest = &slot;
+    }
+    if (oldest == nullptr) break;
+    oldest->live = false;
   }
   return result;
 }
@@ -312,13 +360,16 @@ void BaselineSender::onAck(std::uint64_t tick) {
   // Acks for ticks we never sent (stale acks from a previous incarnation of
   // this link after re-homing or crash recovery) must not poison the
   // baseline selection.
-  if (sent_.find(tick) == sent_.end()) return;
+  if (findLive(sent_, tick) == nullptr) return;
   if (hasAcked_ && tick <= ackedTick_) return;
   ackedTick_ = tick;
   hasAcked_ = true;
-  sent_.erase(sent_.begin(), sent_.lower_bound(tick));
+  for (RetainedView& slot : sent_) {
+    if (slot.tick < tick) slot.live = false;
+  }
 }
 
+// roia-hot
 std::optional<BaselineReceiver::DecodedView> BaselineReceiver::decodeView(
     std::span<const std::uint8_t> payload) {
   ser::ByteReader reader(payload);
@@ -327,52 +378,58 @@ std::optional<BaselineReceiver::DecodedView> BaselineReceiver::decodeView(
   const std::uint64_t tick = reader.readVarU64();
   if (hasLatest_ && tick <= latest_) return std::nullopt;
 
-  const SnapshotView* baseline = nullptr;
+  std::span<const EntitySnapshot> baseline;
   if (!keyframe) {
-    const std::uint64_t baselineTick = reader.readVarU64();
-    auto it = views_.find(baselineTick);
+    const RetainedView* base = findLive(views_, reader.readVarU64());
     // Baseline lost (the ack for it raced a drop): skip the frame; the
     // sender keyframes once its ack window expires.
-    if (it == views_.end()) return std::nullopt;
-    baseline = &it->second;
+    if (base == nullptr) return std::nullopt;
+    baseline = base->view;
   }
 
   const std::uint64_t count = reader.readVarU64();
   // Every entry occupies multiple bytes; a count beyond the remaining
   // payload is malformed (and must not drive a huge allocation).
   if (count > reader.remaining()) throw ser::DecodeError("implausible entry count");
-  SnapshotView view;
+  staging_.resize(count);
   std::uint64_t prevId = 0;
+  std::size_t cursor = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t gap = reader.readVarU64();
-    if (i > 0 && gap == 0) throw ser::DecodeError("non-ascending entry id");
+    // Ids strictly ascend, which the merge walks over retained views rely
+    // on: a zero gap repeats an id, a wrapping one goes backwards.
+    if (i > 0 && (gap == 0 || gap > std::numeric_limits<std::uint64_t>::max() - prevId)) {
+      throw ser::DecodeError("non-ascending entry id");
+    }
     const EntityId id{prevId + gap};
     prevId = id.value;
-    view.insert_or_assign(id, codec_->readEntry(reader, id, baseline));
+    codec_->readEntry(reader, id, seek(baseline, cursor, id), staging_[i]);
   }
   const std::uint64_t removedCount = reader.readVarU64();
   if (removedCount > reader.remaining()) throw ser::DecodeError("implausible removed count");
-  std::vector<EntityId> removed;
-  removed.reserve(removedCount);
+  removed_.clear();
   prevId = 0;
   for (std::uint64_t i = 0; i < removedCount; ++i) {
     prevId += reader.readVarU64();
-    removed.push_back(EntityId{prevId});
+    removed_.push_back(EntityId{prevId});
   }
 
   latest_ = tick;
   hasLatest_ = true;
-  auto [stored, inserted] = views_.insert_or_assign(tick, std::move(view));
-  (void)inserted;
-  const std::uint64_t keep = 2 * codec_->profile().baselineAckWindow + 2;
-  while (!views_.empty() && views_.begin()->first + keep < latest_) {
-    views_.erase(views_.begin());
+  // A sender diffs only against an acked tick >= its tick - W, and frames
+  // at or below latest_ are rejected above, so views older than latest_ - W
+  // can never be named again. Dropping them first lets the new view reuse
+  // their slot.
+  const std::uint64_t window = codec_->profile().baselineAckWindow;
+  for (RetainedView& slot : views_) {
+    if (slot.tick + window < latest_) slot.live = false;
   }
-  return DecodedView{tick, keyframe, &stored->second, std::move(removed)};
+  const RetainedView& stored = retain(views_, tick, staging_);
+  return DecodedView{tick, keyframe, stored.view, removed_};
 }
 
 void BaselineReceiver::reset() {
-  views_.clear();
+  for (RetainedView& slot : views_) slot.live = false;
   latest_ = 0;
   hasLatest_ = false;
 }

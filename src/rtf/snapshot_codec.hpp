@@ -5,18 +5,18 @@
 //
 // Full mode writes every field of every entity each tick — byte-identical
 // to the original free-function codec. Delta mode encodes a *view* (the
-// entity set one link is interested in) against an acked baseline view
-// retained per link: each entry carries a bit-packed field-presence mask
-// and only the fields that changed since the baseline, with positions and
-// velocities quantized to fixed-point lattices and transmitted as zigzag
-// varint deltas. When no ack lands inside the baseline window the sender
-// falls back to a keyframe (a delta against the implicit default view), so
-// drops, migration, zone handoff and crash recovery all resync through the
-// existing transport without a side channel.
+// entity set one link is interested in, an id-sorted flat array) against
+// an acked baseline view retained per link: each entry carries a bit-packed
+// field-presence mask and only the fields that changed since the baseline,
+// with positions and velocities quantized to fixed-point lattices and
+// transmitted as zigzag varint deltas. When no ack lands inside the
+// baseline window the sender falls back to a keyframe (a delta against the
+// implicit default view), so drops, migration, zone handoff and crash
+// recovery all resync through the existing transport without a side
+// channel.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -88,9 +88,10 @@ inline constexpr FieldMask kClientViewFields =
     fieldBit(SnapshotField::kX) | fieldBit(SnapshotField::kY) |
     fieldBit(SnapshotField::kHealth) | fieldBit(SnapshotField::kClient);
 
-/// The entity set one link sees, keyed by id (ordered: encode order and
-/// equality checks are deterministic).
-using SnapshotView = std::map<EntityId, EntitySnapshot>;
+/// The entity set one link sees, in strictly ascending id order: encode
+/// order and equality checks are deterministic, and the codec finds each
+/// entry's baseline entry with one merge walk.
+using SnapshotView = std::vector<EntitySnapshot>;
 
 /// The full snapshot layout: every field in kSnapshotSchema order (see
 /// serialize/wire.hpp). Instantiated for ser::WireOut and ser::WireIn in
@@ -138,12 +139,14 @@ class SnapshotCodec {
   // --- delta building blocks (profile-dependent) ---
 
   /// Snaps x/y (positionScale) and vx/vy (velocityScale) onto their
-  /// fixed-point lattices; scales <= 0 leave the field exact. Senders
-  /// quantize views before diffing so baselines match what receivers hold.
-  [[nodiscard]] EntitySnapshot quantized(const EntitySnapshot& snapshot) const;
+  /// fixed-point lattices in place; scales <= 0 leave the field exact.
+  /// Senders quantize views before diffing so baselines match what
+  /// receivers hold.
+  void quantize(EntitySnapshot& snapshot) const;
 
   /// Mask of fields (within `allowed`) whose encoded value differs between
-  /// `base` and `now`. Scaled fields compare on the lattice.
+  /// `base` and `now`. Scaled fields compare on the lattice; appData is
+  /// compared only when `allowed` includes it.
   [[nodiscard]] FieldMask changedFields(const EntitySnapshot& base, const EntitySnapshot& now,
                                         FieldMask allowed) const;
 
@@ -154,14 +157,23 @@ class SnapshotCodec {
   void writeEntry(ser::ByteWriter& writer, const EntitySnapshot* base, const EntitySnapshot& now,
                   FieldMask mask) const;
 
-  /// Reads one delta entry for `id` (already decoded by the caller). The
-  /// base is looked up by id in `baseline` (nullptr or missing id =
-  /// implicit default).
-  [[nodiscard]] EntitySnapshot readEntry(ser::ByteReader& reader, EntityId id,
-                                         const SnapshotView* baseline) const;
+  /// Reads one delta entry for `id` (already decoded by the caller) into
+  /// `out`: `base` (nullptr = implicit default) with the masked fields
+  /// applied. `out` is assigned in place, so its appData capacity is reused.
+  void readEntry(ser::ByteReader& reader, EntityId id, const EntitySnapshot* base,
+                 EntitySnapshot& out) const;
 
  private:
   ReplicationProfile profile_{};
+};
+
+/// One view a link end retains as a baseline, keyed by tick. A dead slot
+/// keeps its buffer, and the next view stored takes it over, so steady-state
+/// retention allocates nothing.
+struct RetainedView {
+  std::uint64_t tick{0};
+  bool live{false};
+  SnapshotView view;
 };
 
 /// Per-link delta sender: retains the quantized views it has sent, keyed by
@@ -178,12 +190,14 @@ class BaselineSender {
     std::size_t entities{0};
   };
 
-  /// Encodes `view` for `tick` into `out` and retains it as a future
-  /// baseline. `removed` lists ids that left the sender's responsibility
-  /// entirely (world removals, not view exits — receivers treat absence
-  /// from the view as "out of interest", not "gone").
-  EncodeResult encodeView(std::uint64_t tick, SnapshotView view, std::span<const EntityId> removed,
-                          ser::ByteWriter& out);
+  /// Encodes `view` for `tick` into `out` and retains its quantized copy
+  /// as a future baseline. `view` must be in strictly ascending id order;
+  /// otherwise this throws std::invalid_argument before writing anything.
+  /// `removed` lists ids that left the sender's responsibility entirely
+  /// (world removals, not view exits — receivers treat absence from the
+  /// view as "out of interest", not "gone").
+  EncodeResult encodeView(std::uint64_t tick, std::span<const EntitySnapshot> view,
+                          std::span<const EntityId> removed, ser::ByteWriter& out);
 
   /// Acknowledges that the receiver holds the view of `tick`. Acks for
   /// ticks this sender never sent (stale acks after re-homing or crash
@@ -195,7 +209,14 @@ class BaselineSender {
  private:
   const SnapshotCodec* codec_;
   FieldMask fields_;
-  std::map<std::uint64_t, SnapshotView> sent_;
+  /// At most 2W+3 slots (W = baselineAckWindow), at most 2W+2 of them
+  /// live; dead ones wait for reuse.
+  std::vector<RetainedView> sent_;
+  /// The view being encoded; swapped into a slot once its bytes are
+  /// written, so a re-encode of the acked tick still diffs against the old
+  /// view.
+  SnapshotView staging_;
+  std::vector<std::uint64_t> removedIds_;
   std::uint64_t ackedTick_{0};
   bool hasAcked_{false};
   std::uint64_t lastKeyframeTick_{0};
@@ -214,9 +235,9 @@ class BaselineReceiver {
   struct DecodedView {
     std::uint64_t serverTick{0};
     bool keyframe{false};
-    /// Owned by the receiver; valid until the next decodeView/reset.
-    const SnapshotView* view{nullptr};
-    std::vector<EntityId> removed;
+    /// Both owned by the receiver; valid until the next decodeView/reset.
+    std::span<const EntitySnapshot> view;
+    std::span<const EntityId> removed;
   };
 
   /// Applies one view payload. Returns nullopt when the frame is not
@@ -233,7 +254,12 @@ class BaselineReceiver {
 
  private:
   const SnapshotCodec* codec_{nullptr};
-  std::map<std::uint64_t, SnapshotView> views_;
+  /// The views of ticks latest-W .. latest (W = baselineAckWindow): every
+  /// delta that can still apply names one of them (DESIGN §16).
+  std::vector<RetainedView> views_;
+  /// The view being decoded; swapped into a slot once it is complete.
+  SnapshotView staging_;
+  std::vector<EntityId> removed_;
   std::uint64_t latest_{0};
   bool hasLatest_{false};
 };

@@ -1,0 +1,141 @@
+// Steady-state delta replication allocates nothing. This binary replaces
+// global operator new/delete with malloc/free plus a counter that is armed
+// only inside the measured scope, so it lives apart from roia_tests.
+//
+// Each round is one link tick: move ~20% of the entities, encode the view
+// into a reused ByteWriter, decode it, and ack it. After a short warm-up
+// (the link ends fill their retained-view buffers) every round must run
+// without a single heap allocation, on a client link and on a replica link.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "rtf/snapshot_codec.hpp"
+#include "serialize/byte_buffer.hpp"
+
+namespace {
+
+bool gArmed = false;
+std::size_t gAllocations = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (gArmed) ++gAllocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace roia::rtf {
+namespace {
+
+/// Counts the allocations made while it is alive.
+class AllocationScope {
+ public:
+  AllocationScope() {
+    gAllocations = 0;
+    gArmed = true;
+  }
+  ~AllocationScope() { gArmed = false; }
+  AllocationScope(const AllocationScope&) = delete;
+  AllocationScope& operator=(const AllocationScope&) = delete;
+
+  [[nodiscard]] std::size_t count() const { return gAllocations; }
+};
+
+struct LinkRun {
+  std::size_t allocations{0};
+  std::size_t applied{0};
+};
+
+/// Runs 3 warm-up rounds, then counts the allocations of 100 more.
+LinkRun runLink(const ReplicationProfile& profile, FieldMask fields, SnapshotView view) {
+  const SnapshotCodec codec{profile};
+  BaselineSender sender{codec, fields};
+  BaselineReceiver receiver{codec};
+  ser::ByteWriter out;
+  out.reserve(64 * 1024);
+  std::uint64_t tick = 0;
+  std::size_t applied = 0;
+  auto round = [&] {
+    ++tick;
+    // A fifth of the entities move each round, back and forth, so the
+    // encoded sizes stay bounded.
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      if ((i + tick) % 5 != 0) continue;
+      const float step = (tick / 5) % 2 == 0 ? 1.0f : -1.0f;
+      view[i].x += step;
+      view[i].y -= step;
+      view[i].version += 1;
+    }
+    out.clear();
+    sender.encodeView(tick, view, {}, out);
+    const auto decoded = receiver.decodeView(out.bytes());
+    if (!decoded) return;
+    ++applied;
+    sender.onAck(decoded->serverTick);
+  };
+
+  for (int i = 0; i < 3; ++i) round();
+  LinkRun run;
+  {
+    const AllocationScope scope;
+    for (int i = 0; i < 100; ++i) round();
+    run.allocations = scope.count();
+  }
+  run.applied = applied;
+  return run;
+}
+
+SnapshotView makeView(std::size_t entities, std::size_t appDataBytes) {
+  SnapshotView view(entities);
+  for (std::size_t i = 0; i < entities; ++i) {
+    EntitySnapshot& s = view[i];
+    s.id = EntityId{3 * i + 1};
+    s.owner = ServerId{1};
+    s.client = ClientId{static_cast<std::uint32_t>(100 + i)};
+    s.x = 10.0f + static_cast<float>(i);
+    s.y = 20.0f - static_cast<float>(i);
+    s.vx = 0.5f;
+    s.vy = -0.25f;
+    s.health = 100.0f;
+    s.version = i;
+    s.appData.assign(appDataBytes, static_cast<std::uint8_t>(i));
+  }
+  return view;
+}
+
+// W = 1 keeps the warm-up at 3 rounds: a receiver retains W+1 views and a
+// staging view, so it owns W+2 view buffers, filled one per round.
+ReplicationProfile deltaProfile() {
+  ReplicationProfile profile;
+  profile.codec = ReplicationCodec::kDelta;
+  profile.baselineAckWindow = 1;
+  return profile;
+}
+
+TEST(AllocationTest, ClientLinkSteadyStateAllocatesNothing) {
+  const LinkRun run = runLink(deltaProfile(), kClientViewFields, makeView(64, 0));
+  EXPECT_EQ(run.applied, 103u);
+  EXPECT_EQ(run.allocations, 0u);
+}
+
+TEST(AllocationTest, ReplicaLinkSteadyStateAllocatesNothing) {
+  ReplicationProfile profile = deltaProfile();
+  profile.positionScale = 0.0;
+  profile.velocityScale = 0.0;
+  const LinkRun run = runLink(profile, kAllFields, makeView(64, 3));
+  EXPECT_EQ(run.applied, 103u);
+  EXPECT_EQ(run.allocations, 0u);
+}
+
+}  // namespace
+}  // namespace roia::rtf

@@ -60,10 +60,10 @@ void decodeOneView(roia::rtf::BaselineReceiver& receiver,
                    std::span<const std::uint8_t> payload) {
   try {
     auto decoded = receiver.decodeView(payload);
-    if (decoded && decoded->view != nullptr) {
+    if (decoded) {
       // Touch the reconstructed view so the optimizer cannot elide it and
       // sanitizers see every byte the decoder produced.
-      volatile std::size_t entities = decoded->view->size();
+      volatile std::size_t entities = decoded->view.size();
       (void)entities;
     }
   } catch (const roia::ser::DecodeError&) {
@@ -167,7 +167,7 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
   {
     roia::rtf::BaselineSender sender{codec, roia::rtf::kAllFields};
     roia::rtf::SnapshotView view;
-    for (std::uint64_t id = 1; id <= 4; ++id) view.emplace(roia::EntityId{id}, makeEntity(id));
+    for (std::uint64_t id = 1; id <= 4; ++id) view.push_back(makeEntity(id));
 
     roia::ser::ByteWriter keyframe;
     sender.encodeView(1, view, {}, keyframe);
@@ -175,9 +175,9 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
     add(2, keyframe.bytes());
 
     sender.onAck(1);
-    view.at(roia::EntityId{2}).x += 5.0f;
-    view.at(roia::EntityId{2}).health -= 12.5f;
-    view.erase(roia::EntityId{3});
+    view[1].x += 5.0f;  // id 2
+    view[1].health -= 12.5f;
+    view.erase(view.begin() + 2);  // id 3
     const roia::EntityId removed[] = {roia::EntityId{3}};
     roia::ser::ByteWriter delta;
     sender.encodeView(2, view, removed, delta);
@@ -186,8 +186,7 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
   }
   {
     roia::rtf::BaselineSender sender{codec, roia::rtf::kClientViewFields};
-    roia::rtf::SnapshotView view;
-    view.emplace(roia::EntityId{9}, makeEntity(9));
+    const roia::rtf::SnapshotView view{makeEntity(9)};
     roia::ser::ByteWriter clientFrame;
     sender.encodeView(5, view, {}, clientFrame);
     add(0, clientFrame.bytes());

@@ -5,13 +5,18 @@
 // under chaos with the delta codec).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "game/bots.hpp"
 #include "game/fps_app.hpp"
 #include "net/fault.hpp"
@@ -35,6 +40,12 @@ EntitySnapshot sampleSnapshot() {
   s.health = 87.5f;
   s.version = 19;
   s.appData = {0xde, 0xad, 0xbe};
+  return s;
+}
+
+/// Copy of `s` snapped onto the codec's lattices.
+EntitySnapshot quantized(const SnapshotCodec& codec, EntitySnapshot s) {
+  codec.quantize(s);
   return s;
 }
 
@@ -107,12 +118,12 @@ TEST(SnapshotCodecTest, SchemaCoversEveryFieldExactlyOnce) {
 TEST(SnapshotCodecTest, DeltaEntryRoundTripAgainstBaseline) {
   const SnapshotCodec codec{ReplicationProfile{}};
   // Sender-side state is quantized before diffing, mirroring encodeView.
-  const EntitySnapshot base = codec.quantized(sampleSnapshot());
+  const EntitySnapshot base = quantized(codec, sampleSnapshot());
   EntitySnapshot now = base;
   now.x += 5.0f;
   now.health = 31.0f;
   now.version += 3;
-  now = codec.quantized(now);
+  now = quantized(codec, now);
 
   const FieldMask mask = codec.changedFields(base, now, kAllFields);
   EXPECT_EQ(mask, fieldBit(SnapshotField::kX) | fieldBit(SnapshotField::kHealth) |
@@ -122,16 +133,16 @@ TEST(SnapshotCodecTest, DeltaEntryRoundTripAgainstBaseline) {
   codec.writeEntry(writer, &base, now, mask);
   const std::vector<std::uint8_t> bytes = std::move(writer).take();
 
-  SnapshotView baseline;
-  baseline.emplace(base.id, base);
   ser::ByteReader reader(bytes);
-  expectSnapshotEq(codec.readEntry(reader, base.id, &baseline), now);
+  EntitySnapshot decoded;
+  codec.readEntry(reader, base.id, &base, decoded);
+  expectSnapshotEq(decoded, now);
   EXPECT_TRUE(reader.atEnd());
 }
 
 TEST(SnapshotCodecTest, DeltaEntryFromImplicitDefaultBaseline) {
   const SnapshotCodec codec{ReplicationProfile{}};
-  const EntitySnapshot now = codec.quantized(sampleSnapshot());
+  const EntitySnapshot now = quantized(codec, sampleSnapshot());
   const EntitySnapshot base{};  // keyframe / spawn: implicit default
   const FieldMask mask = codec.changedFields(base, now, kAllFields);
 
@@ -140,7 +151,8 @@ TEST(SnapshotCodecTest, DeltaEntryFromImplicitDefaultBaseline) {
   const std::vector<std::uint8_t> bytes = std::move(writer).take();
 
   ser::ByteReader reader(bytes);
-  EntitySnapshot decoded = codec.readEntry(reader, now.id, nullptr);
+  EntitySnapshot decoded;
+  codec.readEntry(reader, now.id, nullptr, decoded);
   expectSnapshotEq(decoded, now);
 }
 
@@ -159,7 +171,7 @@ TEST(SnapshotCodecTest, QuantizationErrorIsBoundedByHalfStep) {
       s.y = -v;
       s.vx = v * 0.25f;
       s.vy = -v * 0.25f;
-      const EntitySnapshot q = codec.quantized(s);
+      const EntitySnapshot q = quantized(codec, s);
       EXPECT_LE(std::abs(static_cast<double>(q.x) - static_cast<double>(s.x)), bound)
           << "scale " << scale << " value " << v;
       EXPECT_LE(std::abs(static_cast<double>(q.y) - static_cast<double>(s.y)), bound);
@@ -175,12 +187,12 @@ TEST(SnapshotCodecTest, NonPositiveScaleKeepsValuesExact) {
   profile.velocityScale = 0.0;
   const SnapshotCodec codec{profile};
   const EntitySnapshot s = sampleSnapshot();
-  expectSnapshotEq(codec.quantized(s), s);
+  expectSnapshotEq(quantized(codec, s), s);
 }
 
 TEST(SnapshotCodecTest, ChangedFieldsComparesOnTheLattice) {
   const SnapshotCodec codec{ReplicationProfile{}};  // positionScale 16
-  EntitySnapshot base = codec.quantized(sampleSnapshot());
+  EntitySnapshot base = quantized(codec, sampleSnapshot());
   EntitySnapshot below = base;
   below.x += 0.01f;  // far less than half a 1/16 lattice step
   EXPECT_EQ(codec.changedFields(base, below, kAllFields), 0);
@@ -215,21 +227,20 @@ struct Link {
 };
 
 SnapshotView quantizedView(const SnapshotCodec& codec, const SnapshotView& view) {
-  SnapshotView out;
-  for (const auto& [id, snap] : view) out.emplace(id, codec.quantized(snap));
+  SnapshotView out = view;
+  for (EntitySnapshot& snap : out) codec.quantize(snap);
   return out;
 }
 
-void expectViewEq(const SnapshotView& got, const SnapshotView& want) {
+void expectViewEq(std::span<const EntitySnapshot> got, const SnapshotView& want) {
   ASSERT_EQ(got.size(), want.size());
-  auto it = want.begin();
-  for (const auto& [id, snap] : got) {
-    ASSERT_EQ(id, it->first);
-    expectSnapshotEq(snap, it->second);
-    ++it;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id);
+    expectSnapshotEq(got[i], want[i]);
   }
 }
 
+/// Test view of sample entities with the given ids (pass them ascending).
 SnapshotView makeView(std::initializer_list<std::uint64_t> ids) {
   SnapshotView view;
   for (const std::uint64_t id : ids) {
@@ -237,10 +248,19 @@ SnapshotView makeView(std::initializer_list<std::uint64_t> ids) {
     s.id = EntityId{id};
     s.x = static_cast<float>(id) * 3.1f;
     s.y = static_cast<float>(id) * -1.7f;
-    view.emplace(s.id, s);
+    view.push_back(s);
   }
   return view;
 }
+
+/// The entry of `view` with id `id`; throws when there is none.
+EntitySnapshot& entry(SnapshotView& view, std::uint64_t id) {
+  const auto it = std::find_if(view.begin(), view.end(),
+                               [id](const EntitySnapshot& s) { return s.id.value == id; });
+  if (it == view.end()) throw std::out_of_range("no view entry with that id");
+  return *it;
+}
+
 
 TEST(BaselineLinkTest, KeyframeThenDeltasReconstructSpawnsMovesAndDespawns) {
   Link link;
@@ -249,11 +269,11 @@ TEST(BaselineLinkTest, KeyframeThenDeltasReconstructSpawnsMovesAndDespawns) {
   auto first = link.step(1, view);
   ASSERT_TRUE(first.has_value());
   EXPECT_TRUE(first->keyframe);
-  expectViewEq(*first->view, quantizedView(link.codec, view));
+  expectViewEq(first->view, quantizedView(link.codec, view));
 
   // Move an entity and spawn a new one: the next frame is a delta.
-  view.at(EntityId{2}).x += 10.0f;
-  view.emplace(EntityId{9}, [] {
+  entry(view, 2).x += 10.0f;
+  view.push_back([] {  // id 9 sorts last
     EntitySnapshot s = sampleSnapshot();
     s.id = EntityId{9};
     return s;
@@ -261,16 +281,16 @@ TEST(BaselineLinkTest, KeyframeThenDeltasReconstructSpawnsMovesAndDespawns) {
   auto second = link.step(2, view);
   ASSERT_TRUE(second.has_value());
   EXPECT_FALSE(second->keyframe);
-  expectViewEq(*second->view, quantizedView(link.codec, view));
+  expectViewEq(second->view, quantizedView(link.codec, view));
 
   // Despawn: the entity leaves the view and is announced as removed.
-  view.erase(EntityId{5});
+  std::erase_if(view, [](const EntitySnapshot& s) { return s.id == EntityId{5}; });
   auto third = link.step(3, view, {EntityId{5}});
   ASSERT_TRUE(third.has_value());
   EXPECT_FALSE(third->keyframe);
   ASSERT_EQ(third->removed.size(), 1u);
   EXPECT_EQ(third->removed.front(), EntityId{5});
-  expectViewEq(*third->view, quantizedView(link.codec, view));
+  expectViewEq(third->view, quantizedView(link.codec, view));
 }
 
 TEST(BaselineLinkTest, DeltaFramesAreSmallerThanKeyframes) {
@@ -281,7 +301,7 @@ TEST(BaselineLinkTest, DeltaFramesAreSmallerThanKeyframes) {
   ASSERT_TRUE(link.receiver.decodeView(key.bytes()).has_value());
   link.sender.onAck(1);
 
-  view.at(EntityId{3}).x += 1.0f;  // one entity moved one world unit
+  entry(view, 3).x += 1.0f;  // one entity moved one world unit
   ser::ByteWriter delta;
   link.sender.encodeView(2, view, {}, delta);
   EXPECT_LT(delta.size() * 4, key.size());
@@ -299,11 +319,11 @@ TEST(BaselineLinkTest, KeyframeResyncAfterAckLoss) {
   // The link goes dark: frames (and therefore acks) are lost. The sender
   // keeps diffing against tick 1 while the window allows it...
   for (std::uint64_t tick = 2; tick <= 5; ++tick) {
-    view.at(EntityId{1}).x += 1.0f;
+    entry(view, 1).x += 1.0f;
     link.step(tick, view, {}, /*deliver=*/false);
   }
   // ...then falls back to keyframes once the ack is older than the window.
-  view.at(EntityId{1}).x += 1.0f;
+  entry(view, 1).x += 1.0f;
   ser::ByteWriter out;
   const auto result = link.sender.encodeView(6, view, {}, out);
   EXPECT_TRUE(result.keyframe);
@@ -313,7 +333,7 @@ TEST(BaselineLinkTest, KeyframeResyncAfterAckLoss) {
   auto decoded = link.receiver.decodeView(out.bytes());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->keyframe);
-  expectViewEq(*decoded->view, quantizedView(link.codec, view));
+  expectViewEq(decoded->view, quantizedView(link.codec, view));
 }
 
 TEST(BaselineLinkTest, StaleFramesAndUnknownBaselinesAreSkippedNotApplied) {
@@ -330,11 +350,11 @@ TEST(BaselineLinkTest, StaleFramesAndUnknownBaselinesAreSkippedNotApplied) {
 
   // A delta against a baseline the receiver never applied is skipped: the
   // sender acked tick 6 (say, the ack raced a drop of the frame itself).
-  view.at(EntityId{1}).x += 1.0f;
+  entry(view, 1).x += 1.0f;
   ser::ByteWriter lost;
   link.sender.encodeView(6, view, {}, lost);
   link.sender.onAck(6);
-  view.at(EntityId{1}).x += 1.0f;
+  entry(view, 1).x += 1.0f;
   ser::ByteWriter delta;
   link.sender.encodeView(7, view, {}, delta);
   EXPECT_FALSE(link.receiver.decodeView(delta.bytes()).has_value());
@@ -368,6 +388,132 @@ TEST(BaselineLinkTest, MalformedPayloadsThrowInsteadOfSmearing) {
   dup.writeVarU64(0);   // empty mask
   dup.writeVarU64(0);   // zero gap -> id 7 again
   EXPECT_THROW(link.receiver.decodeView(dup.bytes()), ser::DecodeError);
+
+  // Neither are gaps that wrap past 2^64 back to a smaller id.
+  ser::ByteWriter wrap;
+  wrap.writeU8(1);
+  wrap.writeVarU64(3);
+  wrap.writeVarU64(2);   // two entries
+  wrap.writeVarU64(7);   // id 7
+  wrap.writeVarU64(0);   // empty mask
+  wrap.writeVarU64(~std::uint64_t{0});  // 7 + gap wraps to id 6
+  wrap.writeVarU64(0);
+  EXPECT_THROW(link.receiver.decodeView(wrap.bytes()), ser::DecodeError);
+}
+
+TEST(BaselineLinkTest, NonAscendingViewsAreRejectedBeforeEncoding) {
+  Link link;
+  ser::ByteWriter out;
+  EXPECT_THROW(link.sender.encodeView(1, makeView({2, 1}), {}, out), std::invalid_argument);
+  EXPECT_THROW(link.sender.encodeView(1, makeView({1, 3, 3}), {}, out), std::invalid_argument);
+  EXPECT_EQ(out.size(), 0u);
+  // Nothing was retained: the next view is still the link's first keyframe.
+  EXPECT_TRUE(link.sender.encodeView(2, makeView({1, 2}), {}, out).keyframe);
+}
+
+// A sender diffs only against an acked tick >= tick - W, so the oldest
+// baseline a frame at T can name is T - W, and the receiver has applied up
+// to T - 1 by then. Its window must still hold that view.
+TEST(BaselineLinkTest, ReceiverKeepsTheOldestBaselineASenderMayName) {
+  ReplicationProfile profile;
+  profile.baselineAckWindow = 4;
+  profile.keyframeInterval = 1000;  // periodic keyframes out of the way
+  Link link(profile);
+  SnapshotView view = makeView({1, 2, 3});
+  constexpr std::uint64_t kT = 10;
+  const std::uint64_t oldest = kT - profile.baselineAckWindow;
+  // Every frame up to T - 1 applies; only the acks up to T - W arrive.
+  for (std::uint64_t tick = 1; tick < kT; ++tick) {
+    entry(view, 1).x += 1.0f;
+    ser::ByteWriter out;
+    link.sender.encodeView(tick, view, {}, out);
+    ASSERT_TRUE(link.receiver.decodeView(out.bytes()).has_value()) << "tick " << tick;
+    if (tick <= oldest) link.sender.onAck(tick);
+  }
+  ASSERT_EQ(link.receiver.latestTick(), kT - 1);
+
+  entry(view, 1).x += 1.0f;
+  ser::ByteWriter out;
+  ASSERT_FALSE(link.sender.encodeView(kT, view, {}, out).keyframe);
+  // Header: delta flag, tick, baseline tick (one varint byte each here).
+  ASSERT_GE(out.size(), 3u);
+  EXPECT_EQ(out.bytes()[2], oldest);
+  auto decoded = link.receiver.decodeView(out.bytes());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_FALSE(decoded->keyframe);
+  expectViewEq(decoded->view, quantizedView(link.codec, view));
+}
+
+// Seeded lossy link: frames and acks are dropped, acks arrive 0..W ticks
+// late and out of order, entities move, spawn and despawn. The receiver's
+// W+1-view window must never lose a baseline the sender names, and every
+// applied view must be exactly the quantized view that was sent.
+TEST(BaselineLinkTest, LossyLinkDecodesEveryFrameWhoseBaselineWasApplied) {
+  ReplicationProfile profile;
+  profile.baselineAckWindow = 4;
+  Link link(profile, kAllFields);
+  Rng rng(0xB45E);
+  SnapshotView view;
+  std::uint64_t nextId = 3;
+  for (int i = 0; i < 24; ++i, nextId += 3) view.push_back(makeView({nextId}).front());
+
+  struct Ack {
+    std::uint64_t due;
+    std::uint64_t tick;
+  };
+  std::deque<Ack> acks;
+  std::set<std::uint64_t> applied;
+  std::size_t deltasDecoded = 0;
+  for (std::uint64_t tick = 1; tick <= 2000; ++tick) {
+    for (auto it = acks.begin(); it != acks.end();) {
+      if (it->due > tick) {
+        ++it;
+        continue;
+      }
+      link.sender.onAck(it->tick);
+      it = acks.erase(it);
+    }
+    for (EntitySnapshot& s : view) {
+      if (!rng.chance(0.2)) continue;
+      s.x += static_cast<float>(rng.uniform(-2.0, 2.0));
+      s.y += static_cast<float>(rng.uniform(-2.0, 2.0));
+      s.version += 1;
+    }
+    std::vector<EntityId> removed;
+    if (rng.chance(0.05)) {
+      const std::size_t victim = static_cast<std::size_t>(rng.uniformInt(0, view.size() - 1));
+      removed.push_back(view[victim].id);
+      view.erase(view.begin() + static_cast<std::ptrdiff_t>(victim));
+      EntitySnapshot spawned = sampleSnapshot();
+      spawned.id = EntityId{nextId};
+      nextId += 1 + rng.uniformInt(0, 3);
+      view.push_back(spawned);
+    }
+
+    ser::ByteWriter out;
+    const bool keyframe = link.sender.encodeView(tick, view, removed, out).keyframe;
+    if (rng.chance(0.2)) continue;  // frame dropped
+
+    bool baselineApplied = true;
+    if (!keyframe) {
+      // Header: flag, tick, then the baseline tick.
+      ser::ByteReader header(out.bytes());
+      (void)header.readU8();
+      (void)header.readVarU64();
+      baselineApplied = applied.contains(header.readVarU64());
+    }
+    auto decoded = link.receiver.decodeView(out.bytes());
+    ASSERT_EQ(decoded.has_value(), baselineApplied) << "tick " << tick;
+    if (!decoded) continue;
+    EXPECT_EQ(decoded->keyframe, keyframe);
+    expectViewEq(decoded->view, quantizedView(link.codec, view));
+    EXPECT_EQ(std::vector<EntityId>(decoded->removed.begin(), decoded->removed.end()), removed);
+    applied.insert(tick);
+    if (!keyframe) ++deltasDecoded;
+    if (rng.chance(0.2)) continue;  // ack dropped
+    acks.push_back({tick + rng.uniformInt(0, profile.baselineAckWindow), tick});
+  }
+  EXPECT_GT(deltasDecoded, 800u);
 }
 
 // --- cluster-level properties --------------------------------------------

@@ -43,9 +43,11 @@ std::string hex(std::span<const std::uint8_t> bytes) {
 }
 
 /// Full-codec image of a view, for comparing decoded views.
-std::string viewHex(const rtf::SnapshotView& view) {
+std::string viewHex(std::span<const rtf::EntitySnapshot> view) {
   ser::ByteWriter writer;
-  for (const auto& [id, snapshot] : view) rtf::SnapshotCodec::writeSnapshot(writer, snapshot);
+  for (const rtf::EntitySnapshot& snapshot : view) {
+    rtf::SnapshotCodec::writeSnapshot(writer, snapshot);
+  }
   return hex(writer.bytes());
 }
 
@@ -84,9 +86,9 @@ TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {
     ser::ByteWriter writer;
     codec.writeEntry(writer, &base, now, rtf::kAllFields);
     EXPECT_EQ(hex(writer.bytes()), "ff07010307f405a001101b0000af421203deadbe");
-    const rtf::SnapshotView baseline{{base.id, base}};
     ser::ByteReader reader(writer.bytes());
-    const rtf::EntitySnapshot decoded = codec.readEntry(reader, base.id, &baseline);
+    rtf::EntitySnapshot decoded;
+    codec.readEntry(reader, base.id, &base, decoded);
     EXPECT_TRUE(reader.atEnd());
     ser::ByteWriter again;
     rtf::SnapshotCodec::writeSnapshot(again, decoded);
@@ -196,7 +198,7 @@ TEST(WireLayoutTest, HandWrittenLayoutsMatchGoldenBytes) {
     rtf::BaselineSender sender{codec, rtf::kAllFields};
     rtf::BaselineReceiver receiver{codec};
     rtf::SnapshotView view;
-    for (const std::uint64_t id : {1, 2, 300}) view.emplace(EntityId{id}, entity(id));
+    for (const std::uint64_t id : {1, 2, 300}) view.push_back(entity(id));
 
     ser::ByteWriter keyframe;
     EXPECT_TRUE(sender.encodeView(5, view, {}, keyframe).keyframe);
@@ -209,13 +211,14 @@ TEST(WireLayoutTest, HandWrittenLayoutsMatchGoldenBytes) {
               "00");
     auto decoded = receiver.decodeView(keyframe.bytes());
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(viewHex(*decoded->view), viewHex(view));
+    EXPECT_EQ(viewHex(decoded->view), viewHex(view));
 
     sender.onAck(5);
-    view.at(EntityId{2}).x += 5.0f;
-    view.at(EntityId{2}).health -= 12.5f;
-    view.at(EntityId{2}).version += 1;
-    view.erase(EntityId{300});
+    rtf::EntitySnapshot& second = view[1];  // id 2
+    second.x += 5.0f;
+    second.health -= 12.5f;
+    second.version += 1;
+    view.pop_back();  // id 300
     const EntityId removed[] = {EntityId{300}};
     ser::ByteWriter delta;
     EXPECT_FALSE(sender.encodeView(6, view, removed, delta).keyframe);
@@ -228,8 +231,9 @@ TEST(WireLayoutTest, HandWrittenLayoutsMatchGoldenBytes) {
               "01" "ac02");
     decoded = receiver.decodeView(delta.bytes());
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(viewHex(*decoded->view), viewHex(view));
-    EXPECT_EQ(decoded->removed, std::vector<EntityId>{EntityId{300}});
+    EXPECT_EQ(viewHex(decoded->view), viewHex(view));
+    EXPECT_EQ(std::vector<EntityId>(decoded->removed.begin(), decoded->removed.end()),
+              std::vector<EntityId>{EntityId{300}});
   }
 }
 
