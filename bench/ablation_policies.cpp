@@ -38,6 +38,7 @@ int main() {
             300, SimDuration::seconds(50), SimDuration::seconds(20), SimDuration::seconds(50));
         config.rms.controlPeriod = SimDuration::seconds(1);
         config.rms.serverStartupDelay = SimDuration::seconds(2);
+        if (i == 0) config.telemetry = telemetryScope.context();  // the model-driven run
         return rms::runManagedSession(config, tickModel);
       });
 

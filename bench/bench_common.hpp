@@ -23,20 +23,23 @@
 
 namespace roia::benchharness {
 
-/// Activates the process-global telemetry context when ROIA_TELEMETRY_DIR
-/// names a directory, and writes every sidecar there when the harness exits:
+/// Owns the telemetry context of the one session a harness reports. When
+/// ROIA_TELEMETRY_DIR names a directory, context() hands that session an
+/// enabled obs::Telemetry and every sidecar is written there when the
+/// harness exits:
 ///   trace.json     Chrome/Perfetto trace-event JSON (simulated time)
 ///   metrics.jsonl  metrics registry snapshot
 ///   audit.jsonl    RMS decision audit log
-///   slo.jsonl      SLO compliance/burn-rate + protocol summary (the
-///                  default objectives are installed when none are set)
+///   slo.jsonl      SLO compliance/burn-rate (default objectives) +
+///                  protocol summary
 ///   drift.jsonl    Eq.2/Eq.4 model-drift residual summary
 ///   flight.jsonl   flight-recorder dumps (breach/crash rings)
 /// ROIA_TRACE_SAMPLE synthesizes tick spans every Nth tick (default 1).
 /// The directory is created and every file opened before the run starts;
 /// any failure to create, open or write one exits the harness nonzero.
-/// With the knob unset, telemetry stays off and the run is bit-identical to
-/// one without this scope.
+/// With the knob unset, context() is nullptr and telemetry stays off. Every
+/// other session of the harness (calibration, sweep siblings) records
+/// nothing, so the sidecars describe one simulation at any thread count.
 class TelemetryScope {
  public:
   TelemetryScope() {
@@ -50,34 +53,25 @@ class TelemetryScope {
       files_[i].open(dir_ / kFileNames[i]);
       if (!files_[i]) fail(dir_ / kFileNames[i], std::strerror(errno));
     }
-    obs::Telemetry& telemetry = obs::Telemetry::global();
-    telemetry.setActive(true);
-    telemetry.tracer.setEnabled(true);
-    telemetry.audit.setEnabled(true);
-    if (telemetry.slo.objectiveCount() == 0) obs::installDefaultObjectives(telemetry.slo);
+    telemetry_.tracer.setEnabled(true);
+    telemetry_.audit.setEnabled(true);
+    obs::installDefaultObjectives(telemetry_.slo);
     if (const char* sample = std::getenv("ROIA_TRACE_SAMPLE")) {
       const long every = std::strtol(sample, nullptr, 10);
-      if (every > 0) telemetry.traceTickSampleEvery = static_cast<std::size_t>(every);
+      if (every > 0) telemetry_.traceTickSampleEvery = static_cast<std::size_t>(every);
     }
   }
 
-  ~TelemetryScope() { flush(); }
-
-  TelemetryScope(const TelemetryScope&) = delete;
-  TelemetryScope& operator=(const TelemetryScope&) = delete;
-
-  /// Writes the sidecars; idempotent, also runs at scope exit.
-  void flush() {
-    if (dir_.empty() || flushed_) return;
-    flushed_ = true;
-    const obs::Telemetry& telemetry = obs::Telemetry::global();
-    telemetry.tracer.writeJson(files_[kTrace]);
-    telemetry.metrics.writeJsonl(files_[kMetrics]);
-    telemetry.audit.writeJsonl(files_[kAudit]);
-    telemetry.slo.writeJsonl(files_[kSlo]);
-    telemetry.protocols.writeJsonl(files_[kSlo]);
-    telemetry.drift.writeJsonl(files_[kDrift]);
-    telemetry.flight.writeJsonl(files_[kFlight]);
+  /// Writes the sidecars when the harness exits.
+  ~TelemetryScope() {
+    if (dir_.empty()) return;
+    telemetry_.tracer.writeJson(files_[kTrace]);
+    telemetry_.metrics.writeJsonl(files_[kMetrics]);
+    telemetry_.audit.writeJsonl(files_[kAudit]);
+    telemetry_.slo.writeJsonl(files_[kSlo]);
+    telemetry_.protocols.writeJsonl(files_[kSlo]);
+    telemetry_.drift.writeJsonl(files_[kDrift]);
+    telemetry_.flight.writeJsonl(files_[kFlight]);
     for (std::size_t i = 0; i < kFileCount; ++i) {
       files_[i].close();
       if (!files_[i]) fail(dir_ / kFileNames[i], std::strerror(errno));
@@ -85,11 +79,18 @@ class TelemetryScope {
     std::fprintf(stderr,
                  "telemetry: %zu trace events, %zu metrics, %zu audit records, "
                  "%zu slo objectives, %zu breaches, %zu drift events, %zu flight dumps -> %s\n",
-                 telemetry.tracer.eventCount(), telemetry.metrics.size(),
-                 telemetry.audit.size(), telemetry.slo.objectiveCount(),
-                 telemetry.slo.breachCount(), telemetry.drift.driftEventCount(),
-                 telemetry.flight.dumpCount(), dir_.c_str());
+                 telemetry_.tracer.eventCount(), telemetry_.metrics.size(),
+                 telemetry_.audit.size(), telemetry_.slo.objectiveCount(),
+                 telemetry_.slo.breachCount(), telemetry_.drift.driftEventCount(),
+                 telemetry_.flight.dumpCount(), dir_.c_str());
   }
+
+  TelemetryScope(const TelemetryScope&) = delete;
+  TelemetryScope& operator=(const TelemetryScope&) = delete;
+
+  /// The context for the reported session's `telemetry` config field;
+  /// nullptr when the knob is unset.
+  [[nodiscard]] obs::Telemetry* context() { return dir_.empty() ? nullptr : &telemetry_; }
 
  private:
   enum File : std::size_t { kTrace, kMetrics, kAudit, kSlo, kDrift, kFlight, kFileCount };
@@ -101,9 +102,9 @@ class TelemetryScope {
     std::exit(EXIT_FAILURE);
   }
 
+  obs::Telemetry telemetry_;
   std::filesystem::path dir_;
   std::array<std::ofstream, kFileCount> files_;
-  bool flushed_{false};
 };
 
 /// Full-strength calibration campaign (matches the paper: up to 300 bots on

@@ -54,6 +54,8 @@ int main() {
       plan.crashAt = SimDuration::seconds(75);
       config.faults = plan;
     }
+    // Telemetry reports the run whose crash timeline is printed below.
+    if (lossPct == lossLevels.back()) config.telemetry = telemetryScope.context();
     return Run{lossPct, rms::runManagedSession(config, tickModel)};
   });
 

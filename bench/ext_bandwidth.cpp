@@ -16,7 +16,6 @@
 #include "model/thresholds.hpp"
 
 int main() {
-  roia::benchharness::TelemetryScope telemetryScope;
   using namespace roia;
   using benchharness::check;
   using benchharness::printHeader;

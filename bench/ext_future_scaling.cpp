@@ -74,6 +74,7 @@ int main() {
                                           : report.nMaxPerReplica[0]);
         sessionConfig.scenario = game::WorkloadScenario::paperSession(
             peak, SimDuration::seconds(40), SimDuration::seconds(10), SimDuration::seconds(40));
+        if (i == 0) sessionConfig.telemetry = telemetryScope.context();  // the baseline variant
         const rms::SessionSummary summary = rms::runManagedSession(sessionConfig, tickModel);
         return VariantResult{report, summary};
       });

@@ -75,7 +75,6 @@ void printFormRow(const char* policy, const char* param, const SampleSeries& s,
 }  // namespace
 
 int main() {
-  roia::benchharness::TelemetryScope telemetryScope;
   using namespace roia;
   using benchharness::check;
   using benchharness::printHeader;

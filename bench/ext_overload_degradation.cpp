@@ -89,7 +89,12 @@ int main() {
         session.budgetMs = kBudgetMs;
         session.ladder = config.ladder;
         session.admission = config.admission;
-        if (config.admission) session.model = tickModel;
+        // The model gives every server an Eq. 4 tick predictor and, with
+        // admission, the Eq. 2 gate. The baseline (no ladder, no admission)
+        // gets it only for the drift telemetry that reads the predictor; the
+        // ladder run stays model-free, as its ladder would react to it.
+        const bool reported = config.name == "baseline";
+        if (config.admission || reported) session.model = tickModel;
         session.scenario = crowd;
         session.churn.maxChangePerPeriod = 10;
         session.churn.seed = config.seed ^ 0x5EEDULL;
@@ -99,6 +104,9 @@ int main() {
                SimDuration::seconds(4)});
         }
         session.seed = config.seed;
+        // Telemetry reports the undefended run: its SLO breaches, drift and
+        // flight dumps.
+        if (reported) session.telemetry = telemetryScope.context();
         return SweepResult{config, rms::runOverloadSession(session)};
       });
 

@@ -7,7 +7,6 @@
 #include "model/sensitivity.hpp"
 
 int main() {
-  roia::benchharness::TelemetryScope telemetryScope;
   using namespace roia;
   using benchharness::printHeader;
 

@@ -74,6 +74,10 @@ int main() {
         session.warmup = SimDuration::seconds(3);
         session.duration = SimDuration::seconds(10);
         session.seed = 9000 + config.zones * 17 + config.users;
+        // Telemetry reports the run with the most handoffs.
+        if (config.zones == 4 && config.fraction == fractions.back()) {
+          session.telemetry = telemetryScope.context();
+        }
         return SweepResult{config, rms::runShardedSession(session)};
       });
 

@@ -10,7 +10,6 @@
 #include "model/estimator.hpp"
 
 int main() {
-  roia::benchharness::TelemetryScope telemetryScope;
   using namespace roia;
   using benchharness::printHeader;
   using benchharness::printParamTable;

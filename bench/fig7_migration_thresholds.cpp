@@ -11,7 +11,6 @@
 #include "model/thresholds.hpp"
 
 int main() {
-  roia::benchharness::TelemetryScope telemetryScope;
   using namespace roia;
   using benchharness::printHeader;
 

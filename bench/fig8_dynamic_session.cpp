@@ -27,6 +27,7 @@ int main() {
       300, SimDuration::seconds(60), SimDuration::seconds(30), SimDuration::seconds(60));
   config.rms.controlPeriod = SimDuration::seconds(1);
   config.rms.serverStartupDelay = SimDuration::seconds(2);
+  config.telemetry = telemetryScope.context();
   const rms::SessionSummary summary = rms::runManagedSession(config, tickModel);
 
   std::printf("\n# time_s   users   servers(+starting)   avg_cpu_load   max_tick_ms   migrations\n");

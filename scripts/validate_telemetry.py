@@ -8,7 +8,8 @@ health_report.py imports it together with load_jsonl.
 
   trace.json     Chrome/Perfetto trace-event JSON: a {"traceEvents": [...]}
                  object, non-decreasing "ts", matched B/E span pairs per
-                 (pid, tid).
+                 (pid, tid), and no tick seq twice on one track (a repeat
+                 means the trace merges several simulations).
   metrics.jsonl  MetricsRegistry rows: kind counter|gauge|histogram, a
                  non-empty name and string labels; a counter value is a
                  non-negative integer, a gauge value is finite, a histogram
@@ -100,12 +101,19 @@ def validate_trace(path):
     if ts != sorted(ts):
         fail(path, "trace timestamps must be non-decreasing")
     opens = {}
+    ticks = set()
     for e in events:
         if "ph" not in e:
             fail(path, f"event without a phase: {e}")
         lane = (e.get("pid"), e.get("tid"))
         if e["ph"] == "B":
             opens[lane] = opens.get(lane, 0) + 1
+            if e.get("name") == "tick":
+                tick = lane + (e.get("args", {}).get("seq"),)
+                if tick in ticks:
+                    fail(path, f"track {lane} repeats tick seq {tick[2]}: "
+                               "the trace merges several simulations")
+                ticks.add(tick)
         elif e["ph"] == "E":
             opens[lane] = opens.get(lane, 0) - 1
             if opens[lane] < 0:

@@ -1,103 +1,25 @@
-// Minimal leveled logger with pluggable sinks, per-component level
-// overrides and optional structured key=value fields. Experiments run
-// millions of simulated events, so the logger is designed to be cheap when
-// disabled: callers check Logger::enabled(level, component) before
-// formatting, and the component-override lookup is skipped entirely while
-// no overrides exist.
+// Warnings from the simulator (a crash declared, a pool exhausted, a frame
+// dropped): one `[WARN] component: message` line on stderr. The writer
+// holds no state, so any sweep thread may call it.
 #pragma once
 
-#include <memory>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace roia {
 
-enum class LogLevel : int { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4, kOff = 5 };
-
-/// One emitted log line as sinks receive it.
-struct LogEntry {
-  LogLevel level{LogLevel::kInfo};
-  std::string component;
-  std::string message;
-  /// Structured key=value fields (may be empty for plain messages).
-  std::vector<std::pair<std::string, std::string>> fields;
-};
-
-/// Where log entries go. The default sink writes
-/// `[LEVEL] component: message k=v ...` to stderr; tests install a
-/// MemorySink and assert on entries instead of scraping stderr.
-class LogSink {
- public:
-  virtual ~LogSink() = default;
-  virtual void write(const LogEntry& entry) = 0;
-};
-
-/// The default sink: one formatted line per entry on stderr.
-class StderrSink final : public LogSink {
- public:
-  void write(const LogEntry& entry) override;
-};
-
-/// Captures entries in memory for test assertions.
-class MemorySink final : public LogSink {
- public:
-  void write(const LogEntry& entry) override { entries_.push_back(entry); }
-
-  [[nodiscard]] const std::vector<LogEntry>& entries() const { return entries_; }
-  [[nodiscard]] std::size_t count() const { return entries_.size(); }
-  /// Entries from `component` only.
-  [[nodiscard]] std::vector<LogEntry> entriesFor(std::string_view component) const;
-  void clear() { entries_.clear(); }
-
- private:
-  std::vector<LogEntry> entries_;
-};
-
-class Logger {
- public:
-  /// Process-wide minimum level; defaults to kWarn so simulations stay quiet.
-  static void setLevel(LogLevel level);
-  static LogLevel level();
-
-  /// Per-component minimum level, overriding the global one (e.g. turn
-  /// "rms" up to kDebug while everything else stays at kWarn).
-  static void setComponentLevel(std::string_view component, LogLevel level);
-  static void clearComponentLevel(std::string_view component);
-  static void clearComponentLevels();
-
-  static bool enabled(LogLevel level);
-  static bool enabled(LogLevel level, std::string_view component);
-
-  /// Replaces the sink (nullptr restores the stderr default). Returns the
-  /// previously installed sink so tests can restore it.
-  static std::shared_ptr<LogSink> setSink(std::shared_ptr<LogSink> sink);
-
-  static void write(LogLevel level, std::string_view component, std::string_view message);
-  /// Structured variant: `fields` travel to the sink unformatted.
-  static void write(LogLevel level, std::string_view component, std::string_view message,
-                    std::vector<std::pair<std::string, std::string>> fields);
-};
-
-/// Convenience macro: evaluates the stream expression only when enabled.
-#define ROIA_LOG(level_, component_, expr_)                                \
-  do {                                                                     \
-    if (::roia::Logger::enabled(level_, component_)) {                     \
-      std::ostringstream roia_log_oss_;                                    \
-      roia_log_oss_ << expr_;                                              \
-      ::roia::Logger::write(level_, component_, roia_log_oss_.str());      \
-    }                                                                      \
-  } while (0)
-
-/// Structured variant: ROIA_LOG_KV(kInfo, "rms", "decision",
-///                                 {{"action", "add"}, {"n", "120"}}).
-#define ROIA_LOG_KV(level_, component_, message_, ...)                     \
-  do {                                                                     \
-    if (::roia::Logger::enabled(level_, component_)) {                     \
-      ::roia::Logger::write(level_, component_, message_, __VA_ARGS__);    \
-    }                                                                      \
-  } while (0)
+/// Streams `parts` into one line and writes it with a single call:
+/// logWarn("rms", "server ", id, " declared dead").
+template <class... Parts>
+void logWarn(std::string_view component, const Parts&... parts) {
+  std::ostringstream line;
+  line << "[WARN] " << component << ": ";
+  (line << ... << parts);
+  line << '\n';
+  const std::string text = line.str();
+  std::fputs(text.c_str(), stderr);
+}
 
 }  // namespace roia

@@ -3,20 +3,8 @@
 #include <cstdlib>
 
 namespace roia::par {
-namespace {
 
-// Set while the process-global telemetry context is active (the obs layer
-// toggles it): the global sidecars aggregate across configs and only the
-// serial legacy order reproduces them bit for bit.
-std::atomic<bool> g_serialOverride{false};
-
-}  // namespace
-
-void setSerialOverride(bool force) { g_serialOverride.store(force); }
-
-bool serialOverride() { return g_serialOverride.load(); }
-
-std::size_t configuredSweepThreads() {
+std::size_t sweepThreads() {
   // Read once on the calling thread before any fan-out; no concurrent
   // setenv exists in this process.
   if (const char* env = std::getenv("ROIA_BENCH_THREADS")) {  // NOLINT(concurrency-mt-unsafe)
@@ -26,11 +14,6 @@ std::size_t configuredSweepThreads() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
-}
-
-std::size_t sweepThreads() {
-  if (serialOverride()) return 1;
-  return configuredSweepThreads();
 }
 
 }  // namespace roia::par

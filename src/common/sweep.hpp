@@ -7,15 +7,12 @@
 //
 //  * Results are collected and emitted in deterministic config order
 //    (index order), regardless of which thread finished first.
-//  * Each job must be self-contained: no shared mutable state beyond the
-//    thread-safe Logger. Jobs therefore produce bit-identical results at
-//    any thread count.
+//  * Each job must be self-contained: no shared mutable state (a telemetry
+//    context belongs to the one job whose session it observes). Jobs
+//    therefore produce bit-identical results at any thread count.
 //  * ROIA_BENCH_THREADS selects the worker count (default: hardware
 //    concurrency). 1 is exact legacy behaviour: jobs run inline on the
 //    calling thread, in ascending index order, with no threads spawned.
-//  * While the process-global telemetry context is active the runner forces
-//    serial execution: the global sidecar files (trace/metrics/audit) are
-//    not per-config and must observe events in the legacy order.
 #pragma once
 
 #include <atomic>
@@ -29,18 +26,8 @@
 namespace roia::par {
 
 /// Worker count for sweep fan-out: ROIA_BENCH_THREADS when set (clamped to
-/// >= 1), otherwise std::thread::hardware_concurrency(). Returns 1 while
-/// the serial override is set (see header comment).
+/// >= 1), otherwise std::thread::hardware_concurrency().
 [[nodiscard]] std::size_t sweepThreads();
-
-/// Raw knob value without the serial override; used by tests.
-[[nodiscard]] std::size_t configuredSweepThreads();
-
-/// Forces sweepThreads() to 1 while set. The obs layer raises it whenever
-/// the process-global telemetry context is activated, because the global
-/// sidecar files aggregate across configs in legacy serial order.
-void setSerialOverride(bool force);
-[[nodiscard]] bool serialOverride();
 
 /// Runs fn(0) .. fn(count-1), each call independent, on up to `threads`
 /// workers (0 = sweepThreads()). With one thread the calls happen inline in

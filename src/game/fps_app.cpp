@@ -211,8 +211,7 @@ void FpsApplication::importUserState(rtf::EntityRef avatar, std::span<const std:
   ser::ByteReader reader(state);
   const std::uint32_t expected = reader.readU32();
   if (ser::crc32(avatar.appData) != expected) {
-    ROIA_LOG(LogLevel::kWarn, "game.fps",
-             "migration state checksum mismatch for entity " << avatar.id.value);
+    logWarn("game.fps", "migration state checksum mismatch for entity ", avatar.id.value);
   }
 }
 

@@ -1,24 +1,7 @@
 #include "obs/telemetry.hpp"
 
-#include "common/sweep.hpp"
-
 namespace roia::obs {
 
 Telemetry::Telemetry() { protocols.bindMetrics(&metrics); }
-
-Telemetry& Telemetry::global() {
-  static Telemetry instance;
-  return instance;
-}
-
-void Telemetry::setActive(bool active) {
-  active_ = active;
-  if (this == &global()) par::setSerialOverride(active);
-}
-
-Telemetry* Telemetry::globalIfActive() {
-  Telemetry& g = global();
-  return g.active() ? &g : nullptr;
-}
 
 }  // namespace roia::obs

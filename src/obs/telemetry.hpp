@@ -6,9 +6,10 @@
 // simulated CPU cost — telemetry observes the experiment, it is not part
 // of it.
 //
-// Benches use the process-global instance (activated by the
-// ROIA_TELEMETRY_DIR environment knob); tests construct their own to stay
-// isolated.
+// A context observes exactly one session: whoever builds the session owns
+// the context and hands it in through ClusterConfig::telemetry, so its
+// sidecars never mix simulations and sessions without one stay untouched
+// (and free to run on any sweep thread).
 #pragma once
 
 #include <cstddef>
@@ -44,22 +45,6 @@ class Telemetry {
   /// Synthesize tick/phase spans only every Nth tick per server (1 = every
   /// tick). Flow and RMS events are never sampled out.
   std::size_t traceTickSampleEvery{1};
-
-  /// The process-global instance used by benches. Inactive until
-  /// setActive(true); components fall back to it only when active.
-  static Telemetry& global();
-  /// &global() when activated, nullptr otherwise — the default telemetry
-  /// hook of a Cluster constructed without an explicit context.
-  static Telemetry* globalIfActive();
-
-  /// Activating the *global* instance also forces sweep fan-out serial
-  /// (par::setSerialOverride): the global sidecars aggregate across sweep
-  /// configs and only the legacy serial order reproduces them exactly.
-  void setActive(bool active);
-  [[nodiscard]] bool active() const { return active_; }
-
- private:
-  bool active_{false};
 };
 
 }  // namespace roia::obs

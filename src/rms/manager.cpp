@@ -198,9 +198,8 @@ void RmsManager::processPreemptions(SimTime now, TimelinePoint& point) {
       }
       const bool replacement = beginReplicaStart(zone, flavorIdx, std::nullopt);
 
-      ROIA_LOG(LogLevel::kWarn, "rms",
-               "server " << preemption.server.value << " preempted, draining within "
-                         << preemption.window.asMillis() << "ms");
+      logWarn("rms", "server ", preemption.server.value, " preempted, draining within ",
+              preemption.window.asMillis(), "ms");
       if (telemetry_ != nullptr) {
         obs::AuditRecord audit;
         audit.at = now;
@@ -275,9 +274,8 @@ void RmsManager::processPreemptions(SimTime now, TimelinePoint& point) {
         if (!cluster_.server(victim).crashed()) cluster_.crashServer(victim);
         const rtf::Cluster::RecoveryReport report = cluster_.recoverCrashedServer(victim);
         point.clientsRehomed += report.clientsRehomed;
-        ROIA_LOG(LogLevel::kWarn, "rms",
-                 "preemption window expired on server " << victim.value << " with " << usersLeft
-                                                        << " users; crash-recovering");
+        logWarn("rms", "preemption window expired on server ", victim.value, " with ",
+                usersLeft, " users; crash-recovering");
         if (telemetry_ != nullptr) {
           obs::AuditRecord audit;
           audit.at = now;
@@ -339,8 +337,7 @@ void RmsManager::detectAndRecover(SimTime now, TimelinePoint& point) {
     const ZoneId zone = cluster_.server(dead).zone();
     if (std::find(zones_.begin(), zones_.end(), zone) == zones_.end()) continue;
 
-    ROIA_LOG(LogLevel::kWarn, "rms",
-             "server " << dead.value << " declared dead (heartbeat silent), recovering");
+    logWarn("rms", "server ", dead.value, " declared dead (heartbeat silent), recovering");
     const std::uint64_t recoveryTrace = obs::recoveryTraceId(dead.value, now.micros);
     if (telemetry_ != nullptr) {
       // A drain interrupted by the crash ends here; recovery takes over.
@@ -450,7 +447,7 @@ void RmsManager::executeZone(ZoneId zone, const Decision& decision) {
           } else if constexpr (std::is_same_v<T, ZoneHandoff>) {
             // Zone handoffs belong to the cross-zone balance pass; a
             // strategy emitting one from decide() is a bug, not a crash.
-            ROIA_LOG(LogLevel::kWarn, "rms", "ZoneHandoff ignored in per-zone decision");
+            logWarn("rms", "ZoneHandoff ignored in per-zone decision");
           }
         },
         action);
@@ -510,7 +507,7 @@ bool RmsManager::beginReplicaStart(ZoneId zone, std::size_t flavorIdx,
                                    std::uint64_t recoveryTraceId) {
   const auto lease = pool_.lease(flavorIdx, cluster_.simulation().now());
   if (!lease) {
-    ROIA_LOG(LogLevel::kWarn, "rms", "resource pool exhausted for flavor " << flavorIdx);
+    logWarn("rms", "resource pool exhausted for flavor ", flavorIdx);
     return false;
   }
   ++pendingStarts_[zone];

@@ -63,7 +63,7 @@ SessionSummary runManagedSession(const ManagedSessionConfig& config,
         // single replica the whole zone would vanish; skip then.
         const std::vector<ServerId> replicas = cluster.zones().replicas(zone);
         if (replicas.size() < 2) {
-          ROIA_LOG(LogLevel::kWarn, "rms.session", "crash skipped: zone has a lone replica");
+          logWarn("rms.session", "crash skipped: zone has a lone replica");
           return;
         }
         ServerId victim = replicas.front();

@@ -61,8 +61,7 @@ struct ManagedSessionConfig {
   std::uint64_t seed{42};
   /// Chaos mode: inject network faults and optionally a mid-session crash.
   std::optional<SessionFaultPlan> faults{};
-  /// Telemetry context handed to the cluster; nullptr falls back to the
-  /// process-global context when active (see obs::Telemetry).
+  /// Telemetry context handed to the cluster; nullptr keeps telemetry off.
   obs::Telemetry* telemetry{nullptr};
 };
 

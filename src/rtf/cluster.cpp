@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/log.hpp"
 #include "obs/events.hpp"
 
 namespace roia::rtf {
@@ -13,9 +12,7 @@ Cluster::Cluster(Application& app, ClusterConfig config)
     : app_(app),
       config_(std::move(config)),
       net_(sim_),
-      rng_(config_.seed),
-      telemetry_(config_.telemetry != nullptr ? config_.telemetry
-                                              : obs::Telemetry::globalIfActive()) {
+      rng_(config_.seed) {
   // Both ends of every client link must agree on the replication codec and
   // its quantization scales: the server profile is authoritative.
   config_.clientTemplate.replication = config_.serverTemplate.replication;
@@ -86,7 +83,7 @@ ServerId Cluster::addServer(ZoneId zone, double speedFactor) {
   if (collector_ != nullptr) {
     server->setMonitoringTarget(collector_->node());
   }
-  if (telemetry_ != nullptr) server->setTelemetry(telemetry_);
+  if (config_.telemetry != nullptr) server->setTelemetry(config_.telemetry);
   if (tickPredictor_) server->setTickPredictor(tickPredictor_);
   server->start();
   servers_.emplace(id, std::move(server));
@@ -99,7 +96,7 @@ ServerId Cluster::addServer(ZoneId zone, double speedFactor) {
 MonitoringCollector& Cluster::attachMonitoringCollector() {
   if (collector_ == nullptr) {
     collector_ = std::make_unique<MonitoringCollector>(sim_, net_);
-    if (telemetry_ != nullptr) collector_->setTelemetry(telemetry_);
+    if (config_.telemetry != nullptr) collector_->setTelemetry(config_.telemetry);
     for (auto& [id, server] : servers_) {
       server->setMonitoringTarget(collector_->node());
     }
@@ -172,7 +169,7 @@ ClientId Cluster::connectClientTo(ServerId serverId, std::unique_ptr<InputProvid
     std::string reason;
     if (!admissionGate_(server, reason)) {
       ++admissionVetoes_;
-      if (telemetry_ != nullptr && telemetry_->audit.enabled()) {
+      if (config_.telemetry != nullptr && config_.telemetry->audit.enabled()) {
         obs::AuditRecord record;
         record.at = sim_.now();
         record.zone = server.zone();
@@ -183,7 +180,7 @@ ClientId Cluster::connectClientTo(ServerId serverId, std::unique_ptr<InputProvid
         record.action = obs::events::kAdmissionThrottle;
         record.rejected.push_back("admit:" + reason);
         record.rationale = std::move(reason);
-        telemetry_->audit.record(std::move(record));
+        config_.telemetry->audit.record(std::move(record));
       }
       return ClientId{};
     }
@@ -303,7 +300,7 @@ net::FaultInjector& Cluster::enableFaultInjection(std::uint64_t seed) {
   if (faults_ == nullptr) {
     faults_ = std::make_unique<net::FaultInjector>(
         seed != 0 ? seed : config_.seed ^ 0xFA0171A6B5ULL);
-    if (telemetry_ != nullptr) faults_->setMetrics(&telemetry_->metrics);
+    if (config_.telemetry != nullptr) faults_->setMetrics(&config_.telemetry->metrics);
     net_.setFaultInjector(faults_.get());
   }
   return *faults_;

@@ -29,10 +29,9 @@ struct ClusterConfig {
   ClientEndpoint::Config clientTemplate{};
   std::uint64_t seed{42};
   /// Telemetry context shared by all servers, the collector and the fault
-  /// injector. nullptr falls back to the process-global context when that
-  /// has been activated (obs::Telemetry::globalIfActive()), else telemetry
-  /// stays off. Recording is a pure observer: simulated timelines are
-  /// bit-identical with telemetry on or off.
+  /// injector; nullptr (the default) keeps telemetry off. Recording is a
+  /// pure observer: simulated timelines are bit-identical with telemetry on
+  /// or off.
   obs::Telemetry* telemetry{nullptr};
 };
 
@@ -153,9 +152,9 @@ class Cluster {
   };
   [[nodiscard]] ConservationAudit auditConservation() const;
 
-  /// The telemetry context in effect (config override or active global);
-  /// nullptr when telemetry is off.
-  [[nodiscard]] obs::Telemetry* telemetry() const { return telemetry_; }
+  /// The telemetry context (ClusterConfig::telemetry); nullptr when
+  /// telemetry is off.
+  [[nodiscard]] obs::Telemetry* telemetry() const { return config_.telemetry; }
 
   // --- fault injection & crash-failure recovery ---
 
@@ -204,7 +203,6 @@ class Cluster {
   net::Network net_;
   ZoneDirectory zones_;
   Rng rng_;
-  obs::Telemetry* telemetry_{nullptr};
 
   std::map<ServerId, std::unique_ptr<Server>> servers_;
   std::map<ClientId, std::unique_ptr<ClientEndpoint>> clients_;

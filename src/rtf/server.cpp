@@ -392,8 +392,7 @@ void Server::dispatchFrame(NodeId from, const ser::Frame& frame) {
       inReplicationAcks_.push_back(decodeReplicationAck(frame));
       break;
     default:
-      ROIA_LOG(LogLevel::kWarn, "rtf.server", "unhandled frame type "
-                                                   << static_cast<int>(frame.type));
+      logWarn("rtf.server", "unhandled frame type ", static_cast<int>(frame.type));
       break;
   }
 }

@@ -1,10 +1,9 @@
-// Coverage for the remaining small components: the zone directory, the
-// logger, and client-endpoint lifecycle edge cases.
+// Coverage for the remaining small components: the zone directory and
+// client-endpoint lifecycle edge cases.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "common/log.hpp"
 #include "game/bots.hpp"
 #include "game/fps_app.hpp"
 #include "rtf/cluster.hpp"
@@ -61,33 +60,6 @@ TEST(ZoneDirectoryTest, ZoneIdsListsEverything) {
   }
   auto ids = directory.zoneIds();
   EXPECT_EQ(ids.size(), 3u);
-}
-
-// ---------- logger ----------
-
-TEST(LoggerTest, LevelGating) {
-  const LogLevel original = Logger::level();
-  Logger::setLevel(LogLevel::kWarn);
-  EXPECT_FALSE(Logger::enabled(LogLevel::kDebug));
-  EXPECT_FALSE(Logger::enabled(LogLevel::kInfo));
-  EXPECT_TRUE(Logger::enabled(LogLevel::kWarn));
-  EXPECT_TRUE(Logger::enabled(LogLevel::kError));
-  Logger::setLevel(LogLevel::kOff);
-  EXPECT_FALSE(Logger::enabled(LogLevel::kError));
-  Logger::setLevel(original);
-}
-
-TEST(LoggerTest, MacroOnlyEvaluatesWhenEnabled) {
-  const LogLevel original = Logger::level();
-  Logger::setLevel(LogLevel::kError);
-  int evaluations = 0;
-  auto expensive = [&]() {
-    ++evaluations;
-    return 42;
-  };
-  ROIA_LOG(LogLevel::kDebug, "test", "value " << expensive());
-  EXPECT_EQ(evaluations, 0);
-  Logger::setLevel(original);
 }
 
 // ---------- client endpoint lifecycle ----------

@@ -1,9 +1,10 @@
 // Tests for the telemetry subsystem: log-bucketed histograms (bucket
 // geometry, quantile error bound, merge), the metrics registry and its
 // exporters, trace JSON well-formedness (monotone timestamps, matched B/E
-// pairs), the RMS decision audit log, the pluggable logger sinks, and the
-// zero-cost-observer invariant (telemetry on/off yields bit-identical
-// simulations).
+// pairs), the RMS decision audit log, the zero-cost-observer invariant
+// (telemetry on/off yields bit-identical simulations), the server health
+// path (SLO breach, drift, flight dump) and a context observing one session
+// of a parallel sweep.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,12 +14,15 @@
 #include <string>
 #include <vector>
 
-#include "common/log.hpp"
+#include "common/sweep.hpp"
 #include "game/bots.hpp"
 #include "game/fps_app.hpp"
+#include "model/tick_model.hpp"
+#include "obs/events.hpp"
 #include "obs/telemetry.hpp"
 #include "rms/baseline_strategies.hpp"
 #include "rms/manager.hpp"
+#include "rms/overload_session.hpp"
 #include "rtf/cluster.hpp"
 
 namespace roia {
@@ -293,36 +297,6 @@ TEST(AuditLogTest, RecordsOnlyWhenEnabledAndExportsJsonl) {
   std::ostringstream out;
   log.writeJsonl(out);
   EXPECT_EQ(countOccurrences(out.str(), "\n"), 1u);
-}
-
-// --- Logger sinks and component overrides ---
-
-TEST(LoggerTest, MemorySinkAndComponentLevelOverrides) {
-  auto sink = std::make_shared<MemorySink>();
-  auto previous = Logger::setSink(sink);
-  const LogLevel previousLevel = Logger::level();
-  Logger::setLevel(LogLevel::kWarn);
-  Logger::setComponentLevel("rms", LogLevel::kDebug);
-
-  ROIA_LOG(LogLevel::kDebug, "rms", "debug visible for rms " << 42);
-  ROIA_LOG(LogLevel::kDebug, "rtf.server", "suppressed");
-  ROIA_LOG(LogLevel::kError, "rtf.server", "errors always pass");
-  ROIA_LOG_KV(LogLevel::kWarn, "rms", "decision", {{"action", "add"}, {"n", "120"}});
-
-  ASSERT_EQ(sink->count(), 3u);
-  EXPECT_EQ(sink->entriesFor("rms").size(), 2u);
-  EXPECT_EQ(sink->entries()[0].message, "debug visible for rms 42");
-  EXPECT_EQ(sink->entries()[1].component, "rtf.server");
-  ASSERT_EQ(sink->entries()[2].fields.size(), 2u);
-  EXPECT_EQ(sink->entries()[2].fields[0].first, "action");
-
-  Logger::clearComponentLevel("rms");
-  ROIA_LOG(LogLevel::kDebug, "rms", "now suppressed");
-  EXPECT_EQ(sink->count(), 3u);
-
-  Logger::clearComponentLevels();
-  Logger::setLevel(previousLevel);
-  Logger::setSink(std::move(previous));
 }
 
 // --- ProtocolTracker ---
@@ -650,6 +624,110 @@ TEST(RmsAuditTest, ControlPeriodsProduceAuditRecords) {
   std::ostringstream out;
   telemetry.tracer.writeJson(out);
   EXPECT_NE(out.str().find("control-period"), std::string::npos);
+}
+
+// --- Server health path: SLO breaches, drift samples, flight dumps ---
+
+// An overloaded two-replica session with no defenses: slow servers push
+// the tick past the 40 ms tick_time objective within a second. The model
+// only feeds the Eq. 4 predictor that drift telemetry reads (ladder and
+// admission off).
+rms::OverloadSessionConfig overloadedSession(std::uint64_t seed) {
+  model::ModelParameters params;
+  params.set(model::ParamKind::kUa, model::ParamFunction::linear(1.0, 0.01));
+  params.set(model::ParamKind::kAoi, model::ParamFunction::linear(0.5, 0.02));
+  params.set(model::ParamKind::kSu, model::ParamFunction::linear(1.0, 0.05));
+  rms::OverloadSessionConfig config;
+  config.replicas = 2;
+  config.ladder = false;
+  config.admission = false;
+  config.model = model::TickModel(params);
+  config.server.cpu.speedFactor = 0.004;
+  config.scenario = game::WorkloadScenario::constant(24, SimDuration::seconds(6));
+  config.settle = SimDuration::seconds(1);
+  config.seed = seed;
+  return config;
+}
+
+void enableAll(obs::Telemetry& telemetry) {
+  telemetry.tracer.setEnabled(true);
+  telemetry.audit.setEnabled(true);
+  obs::installDefaultObjectives(telemetry.slo);
+}
+
+TEST(ServerHealthTest, OverloadRecordsSloBreachesDriftAndFlightDumps) {
+  obs::Telemetry telemetry;
+  enableAll(telemetry);
+  rms::OverloadSessionConfig config = overloadedSession(5);
+  config.telemetry = &telemetry;
+  const rms::OverloadSessionSummary summary = rms::runOverloadSession(config);
+  ASSERT_GT(summary.deadlineMissPeriods, 0u);
+
+  std::size_t breaches = 0;
+  std::size_t drifts = 0;
+  for (const obs::AuditRecord& record : telemetry.audit.records()) {
+    if (record.action == obs::events::kSloBreach) ++breaches;
+    if (record.action == obs::events::kModelDrift) ++drifts;
+  }
+  EXPECT_GE(breaches, 1u);
+  EXPECT_EQ(breaches, telemetry.slo.breachCount());
+  // The predictor is far below the measured tick, so drift fires as well.
+  EXPECT_GE(drifts, 1u);
+  EXPECT_GE(telemetry.flight.dumpCount(), 1u);
+  for (const char* server : {"server-1", "server-2"}) {
+    EXPECT_GT(telemetry.drift.sampleCount(server), 0u) << server;
+  }
+}
+
+// --- One context observes one session of a parallel sweep ---
+
+struct Sidecars {
+  std::string trace, metrics, audit, slo, drift, flight;
+};
+
+Sidecars writeSidecars(const obs::Telemetry& telemetry) {
+  std::ostringstream trace, metrics, audit, slo, drift, flight;
+  telemetry.tracer.writeJson(trace);
+  telemetry.metrics.writeJsonl(metrics);
+  telemetry.audit.writeJsonl(audit);
+  telemetry.slo.writeJsonl(slo);
+  telemetry.protocols.writeJsonl(slo);
+  telemetry.drift.writeJsonl(drift);
+  telemetry.flight.writeJsonl(flight);
+  return {trace.str(), metrics.str(), audit.str(), slo.str(), drift.str(), flight.str()};
+}
+
+// Four sessions fan out over `threads` workers; only the second is observed.
+Sidecars observeOneOfFour(std::size_t threads) {
+  obs::Telemetry telemetry;
+  enableAll(telemetry);
+  par::forEachIndex(
+      4,
+      [&](std::size_t i) {
+        rms::OverloadSessionConfig config = overloadedSession(100 + i);
+        if (i == 1) config.telemetry = &telemetry;
+        (void)rms::runOverloadSession(config);
+      },
+      threads);
+  return writeSidecars(telemetry);
+}
+
+TEST(TelemetrySweepTest, ObservedSessionIsByteIdenticalBesideUnobservedSiblings) {
+  const Sidecars serial = observeOneOfFour(1);
+  const Sidecars parallel = observeOneOfFour(4);
+  EXPECT_EQ(serial.trace, parallel.trace);
+  EXPECT_EQ(serial.metrics, parallel.metrics);
+  EXPECT_EQ(serial.audit, parallel.audit);
+  EXPECT_EQ(serial.slo, parallel.slo);
+  EXPECT_EQ(serial.drift, parallel.drift);
+  EXPECT_EQ(serial.flight, parallel.flight);
+  // Every sidecar holds something, and only one simulation: each of the
+  // two server tracks begins its tick sequence once.
+  for (const std::string* file : {&serial.trace, &serial.metrics, &serial.audit, &serial.slo,
+                                  &serial.drift, &serial.flight}) {
+    EXPECT_FALSE(file->empty());
+  }
+  EXPECT_EQ(countOccurrences(serial.trace, "\"seq\":\"0\""), 2u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the parallel sweep runner: result ordering, inline serial
-// execution, exception propagation, the ROIA_BENCH_THREADS knob and the
-// telemetry serial override — plus the headline determinism contract:
+// execution, exception propagation and the ROIA_BENCH_THREADS knob — plus
+// the headline determinism contract:
 // measurement sweeps and managed/chaos sessions produce bit-identical
 // outputs at any thread count.
 #include <gtest/gtest.h>
@@ -92,26 +92,13 @@ TEST(SweepRunnerTest, EmptySweepIsANoOp) {
 TEST(SweepRunnerTest, EnvKnobSelectsThreadCount) {
   ThreadsEnvGuard env;
   env.set("3");
-  EXPECT_EQ(par::configuredSweepThreads(), 3u);
   EXPECT_EQ(par::sweepThreads(), 3u);
   env.set("1");
-  EXPECT_EQ(par::configuredSweepThreads(), 1u);
-  env.set("0");  // malformed / non-positive values fall back to serial
-  EXPECT_EQ(par::configuredSweepThreads(), 1u);
-  env.set("banana");
-  EXPECT_EQ(par::configuredSweepThreads(), 1u);
-}
-
-TEST(SweepRunnerTest, SerialOverrideForcesOneThread) {
-  ThreadsEnvGuard env;
-  env.set("8");
-  EXPECT_EQ(par::sweepThreads(), 8u);
-  par::setSerialOverride(true);
-  EXPECT_TRUE(par::serialOverride());
   EXPECT_EQ(par::sweepThreads(), 1u);
-  EXPECT_EQ(par::configuredSweepThreads(), 8u);  // raw knob unaffected
-  par::setSerialOverride(false);
-  EXPECT_EQ(par::sweepThreads(), 8u);
+  env.set("0");  // malformed / non-positive values fall back to serial
+  EXPECT_EQ(par::sweepThreads(), 1u);
+  env.set("banana");
+  EXPECT_EQ(par::sweepThreads(), 1u);
 }
 
 // --- Determinism across thread counts ---
