@@ -414,6 +414,26 @@ void BM_AoiQuerySpreadGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_AoiQuerySpreadGrid)->Arg(50)->Arg(300);
 
+// The Euclidean query as the paper's session runs it: the FpsConfig AOI
+// radius (220) over the spread arena sees ~37 of 300 entities, against ~10
+// at the gate pair's radius 110.
+void BM_AoiQuerySessionEuclid(benchmark::State& state) {
+  rtf::World world = spreadWorld(static_cast<std::size_t>(state.range(0)));
+  game::EuclideanInterest euclid;
+  sim::CpuCostModel cpu;
+  rtf::CostMeter meter(cpu);
+  const auto viewer = *world.find(EntityId{1});
+  const double radius = game::FpsConfig{}.aoiRadius;
+  std::vector<std::uint32_t> out;
+  for (auto _ : state) {
+    euclid.query(world, viewer, radius, meter, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["visible"] = static_cast<double>(out.size());
+}
+BENCHMARK(BM_AoiQuerySessionEuclid)->Arg(300);
+
 void BM_EventQueueScheduleDrain(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue queue;
@@ -429,6 +449,36 @@ void BM_EventQueueScheduleDrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleDrain);
+
+// A session's queue in steady state: ~500 pending events (the e2e
+// sim.queue_peak is 503-1445); each pop is followed by one schedule, and
+// every 20th schedule is cancelled and made again (~5% cancels).
+void BM_EventQueueSteadyState(benchmark::State& state) {
+  constexpr std::size_t kDepth = 500;
+  sim::EventQueue queue;
+  std::uint64_t fired = 0;
+  const auto callback = [counter = &fired] { ++*counter; };
+  SimTime at;
+  std::uint64_t scheduled = 0;
+  auto scheduleOne = [&] {
+    ++scheduled;
+    const auto delay = static_cast<std::int64_t>(1 + (scheduled * 37) % 997);
+    return queue.schedule(SimTime{at.micros + delay}, callback);
+  };
+  for (std::size_t i = 0; i < kDepth; ++i) scheduleOne();
+  std::uint64_t step = 0;
+  for (auto _ : state) {
+    queue.pop(at)();
+    const sim::EventHandle handle = scheduleOne();
+    if (++step % 20 == 0) {
+      queue.cancel(handle);
+      scheduleOne();
+    }
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueSteadyState);
 
 }  // namespace
 

@@ -35,12 +35,8 @@ std::vector<std::uint8_t> BotProvider::nextCommands(SimTime now, Rng& rng) {
 }
 
 void BotProvider::onStateUpdate(std::span<const std::uint8_t> update) {
-  const StateUpdatePayload payload = decodeStateUpdate(update);
-  seenEntities_.clear();
-  seenEntities_.reserve(payload.visible.size());
-  for (const VisibleEntity& e : payload.visible) {
-    seenEntities_.push_back(e.id);
-  }
+  // Bots act on ids only: read them straight out of the update.
+  decodeVisibleIds(update, seenEntities_);
 }
 
 void BotProvider::onStateView(std::uint64_t serverTick, ClientId self,

@@ -6,8 +6,8 @@
 //    attack frequency grows with the user count -> t_ua grows faster than
 //    linear (fitted quadratically in the paper),
 //  * the area of interest uses the Euclidean Distance Algorithm: for user U
-//    every other user is tested, and each subscription scans U's update list
-//    to avoid duplicates -> t_aoi quadratic,
+//    every other user is tested, and each subscription is charged a scan of
+//    U's update list for duplicates -> t_aoi quadratic,
 //  * state updates aggregate equivalent records per visible entity ->
 //    t_su linear,
 //  * inputs are deserialized once each; attack share grows with n ->

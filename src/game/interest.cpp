@@ -43,17 +43,12 @@ void EuclideanInterest::query(const rtf::World& world, rtf::ConstEntityRef viewe
     if (ids[s] == viewerId) continue;
     cost += costs_.pairTestCost;
     if (positions[s].distanceSq(viewerPos) <= radiusSq) {
-      // Duplicate check: linear scan of the update list so far (the
-      // quadratic driver of the paper's t_aoi).
+      // The paper's duplicate check scans the update list so far (the
+      // source of its quadratic t_aoi). It is charged, not run: each slot
+      // is visited once, in ascending order, so `s` is never in the list
+      // yet (DESIGN §15).
       cost += costs_.subscribeScanCost * static_cast<double>(visible.size());
-      bool duplicate = false;
-      for (const std::uint32_t seen : visible) {
-        if (seen == s) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) visible.push_back(s);
+      visible.push_back(s);
     }
   }
   meter.charge(cost);

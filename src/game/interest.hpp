@@ -8,8 +8,9 @@
 //
 // Two algorithms are provided:
 //  * EuclideanInterest — the paper's baseline: for user U every entity is
-//    distance-tested and every subscription scans the update list for
-//    duplicates (the quadratic t_aoi of Fig. 4).
+//    distance-tested and every subscription is charged a scan of the update
+//    list for duplicates (the quadratic t_aoi of Fig. 4). The scan itself
+//    never runs: one ascending pass over the slots cannot meet a slot twice.
 //  * GridInterest — a persistent flat uniform grid in CSR layout
 //    (cell-start offsets + one slot array grouped by cell, built by
 //    counting sort and incrementally patched as entities move between
@@ -52,7 +53,8 @@ namespace roia::game {
 struct InterestCosts {
   /// Euclidean: one distance test per candidate entity.
   double pairTestCost{0.45};
-  /// Euclidean: duplicate check per update-list entry already subscribed.
+  /// Euclidean: duplicate check per update-list entry already subscribed
+  /// (charged only; the check cannot fire, see EuclideanInterest::query).
   double subscribeScanCost{0.011};
   /// Grid: indexing one entity during a full (counting-sort) rebuild; also
   /// charged per *relocated* entity on the incremental path.

@@ -30,4 +30,19 @@ StateUpdatePayload decodeStateUpdate(std::span<const std::uint8_t> bytes) {
   return ser::decodeWire<StateUpdatePayload>(bytes);
 }
 
+// roia-hot
+void decodeVisibleIds(std::span<const std::uint8_t> bytes, std::vector<EntityId>& ids) {
+  ser::ByteReader reader(bytes);
+  ser::WireIn io(reader);
+  VisibleEntity row;
+  wire(io, row);  // the viewer's own state
+  const std::uint64_t count = io.listCount();
+  ids.clear();
+  ids.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    wire(io, row);
+    ids.push_back(row.id);
+  }
+}
+
 }  // namespace roia::game

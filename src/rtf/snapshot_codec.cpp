@@ -218,6 +218,7 @@ ser::Frame SnapshotCodec::encodeStateUpdate(std::uint64_t serverTick,
   return frame;
 }
 
+// roia-hot
 StateUpdateMsg SnapshotCodec::decodeStateUpdate(const ser::Frame& frame) {
   if (frame.type != ser::MessageType::kStateUpdate) {
     throw ser::DecodeError("unexpected frame type");
@@ -225,7 +226,7 @@ StateUpdateMsg SnapshotCodec::decodeStateUpdate(const ser::Frame& frame) {
   ser::ByteReader reader(frame.payload);
   StateUpdateMsg msg;
   msg.serverTick = reader.readVarU64();
-  msg.update = reader.readBytes();
+  msg.update = reader.readByteSpan();
   return msg;
 }
 

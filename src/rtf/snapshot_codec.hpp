@@ -102,7 +102,9 @@ void wire(IO& io, ser::WireRef<IO, EntitySnapshot> snapshot);
 /// Server -> client: filtered world delta produced by the application.
 struct StateUpdateMsg {
   std::uint64_t serverTick{0};
-  std::vector<std::uint8_t> update;  // application-defined encoding
+  /// The application-defined encoding, read in place: a view into the
+  /// payload of the decoded frame, valid only while that frame lives.
+  std::span<const std::uint8_t> update;
 };
 
 /// One row of the snapshot schema: a field identity plus the EntitySnapshot
@@ -134,7 +136,10 @@ class SnapshotCodec {
   /// from the server's reused scratch buffer).
   [[nodiscard]] static ser::Frame encodeStateUpdate(std::uint64_t serverTick,
                                                     std::span<const std::uint8_t> update);
+  /// The returned update views `frame`'s payload (no copy), so a
+  /// temporary frame is refused at compile time.
   [[nodiscard]] static StateUpdateMsg decodeStateUpdate(const ser::Frame& frame);
+  static StateUpdateMsg decodeStateUpdate(const ser::Frame&& frame) = delete;
 
   // --- delta building blocks (profile-dependent) ---
 

@@ -1,34 +1,6 @@
 #include "serialize/byte_buffer.hpp"
 
-#include <bit>
-
 namespace roia::ser {
-
-// Fixed-width integers are materialized as little-endian byte arrays and
-// bulk-inserted: one capacity check instead of one per byte.
-// roia-hot
-void ByteWriter::writeU16(std::uint16_t v) {
-  const std::uint8_t raw[2] = {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8)};
-  appendRaw(raw, sizeof raw);
-}
-
-// roia-hot
-void ByteWriter::writeU32(std::uint32_t v) {
-  std::uint8_t raw[4];
-  for (int i = 0; i < 4; ++i) raw[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  appendRaw(raw, sizeof raw);
-}
-
-// roia-hot
-void ByteWriter::writeU64(std::uint64_t v) {
-  std::uint8_t raw[8];
-  for (int i = 0; i < 8; ++i) raw[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  appendRaw(raw, sizeof raw);
-}
-
-void ByteWriter::writeF32(float v) { writeU32(std::bit_cast<std::uint32_t>(v)); }
-
-void ByteWriter::writeF64(double v) { writeU64(std::bit_cast<std::uint64_t>(v)); }
 
 // roia-hot
 void ByteWriter::writeVarU64(std::uint64_t v) {
@@ -53,46 +25,6 @@ void ByteWriter::writeString(std::string_view s) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
   buffer_.insert(buffer_.end(), p, p + s.size());
 }
-
-// roia-hot
-std::uint8_t ByteReader::readU8() {
-  require(1);
-  return data_[offset_++];
-}
-
-std::uint16_t ByteReader::readU16() {
-  require(2);
-  std::uint16_t v = static_cast<std::uint16_t>(data_[offset_]) |
-                    static_cast<std::uint16_t>(data_[offset_ + 1]) << 8;
-  offset_ += 2;
-  return v;
-}
-
-// roia-hot
-std::uint32_t ByteReader::readU32() {
-  require(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[offset_ + static_cast<std::size_t>(i)]) << (8 * i);
-  }
-  offset_ += 4;
-  return v;
-}
-
-// roia-hot
-std::uint64_t ByteReader::readU64() {
-  require(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[offset_ + static_cast<std::size_t>(i)]) << (8 * i);
-  }
-  offset_ += 8;
-  return v;
-}
-
-float ByteReader::readF32() { return std::bit_cast<float>(readU32()); }
-
-double ByteReader::readF64() { return std::bit_cast<double>(readU64()); }
 
 // roia-hot
 std::uint64_t ByteReader::readVarU64() {

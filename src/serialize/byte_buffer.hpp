@@ -6,6 +6,7 @@
 // is exactly the assumption the paper makes for t_su / t_*_dser).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -34,14 +35,20 @@ class ByteWriter {
     buffer_.clear();
   }
 
+  // Fixed-width integers are materialized as little-endian byte arrays and
+  // bulk-appended: one capacity check instead of one per byte. They are
+  // inline because every entity row of a full-codec update writes several.
   void writeU8(std::uint8_t v) { buffer_.push_back(v); }
-  void writeU16(std::uint16_t v);
-  void writeU32(std::uint32_t v);
-  void writeU64(std::uint64_t v);
+  // roia-hot
+  void writeU16(std::uint16_t v) { appendLittleEndian<2>(v); }
+  // roia-hot
+  void writeU32(std::uint32_t v) { appendLittleEndian<4>(v); }
+  // roia-hot
+  void writeU64(std::uint64_t v) { appendLittleEndian<8>(v); }
   void writeI32(std::int32_t v) { writeU32(static_cast<std::uint32_t>(v)); }
   void writeI64(std::int64_t v) { writeU64(static_cast<std::uint64_t>(v)); }
-  void writeF32(float v);
-  void writeF64(double v);
+  void writeF32(float v) { writeU32(std::bit_cast<std::uint32_t>(v)); }
+  void writeF64(double v) { writeU64(std::bit_cast<std::uint64_t>(v)); }
   void writeBool(bool v) { writeU8(v ? 1 : 0); }
 
   /// Unsigned LEB128 varint (1-10 bytes).
@@ -68,6 +75,16 @@ class ByteWriter {
   void clear() { buffer_.clear(); }
 
  private:
+  template <std::size_t N, class T>
+  void appendLittleEndian(T v) {
+    std::uint8_t raw[N];
+    for (std::size_t i = 0; i < N; ++i) raw[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    // Growing here, geometrically, leaves the insert no reallocation path:
+    // inlined, that path draws a false -Wstringop-overflow from g++ 12.
+    if (buffer_.capacity() - buffer_.size() < N) buffer_.reserve(2 * buffer_.capacity() + N);
+    buffer_.insert(buffer_.end(), raw, raw + N);
+  }
+
   std::vector<std::uint8_t> buffer_;
 };
 
@@ -78,14 +95,44 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t readU8();
-  std::uint16_t readU16();
-  std::uint32_t readU32();
-  std::uint64_t readU64();
+  // Fixed-width reads, inline like their ByteWriter counterparts; each one
+  // checks its bounds first.
+  // roia-hot
+  std::uint8_t readU8() {
+    require(1);
+    return data_[offset_++];
+  }
+  std::uint16_t readU16() {
+    require(2);
+    const std::uint16_t v = static_cast<std::uint16_t>(data_[offset_]) |
+                            static_cast<std::uint16_t>(data_[offset_ + 1]) << 8;
+    offset_ += 2;
+    return v;
+  }
+  // roia-hot
+  std::uint32_t readU32() {
+    require(4);
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      v |= static_cast<std::uint32_t>(data_[offset_ + i]) << (8 * i);
+    }
+    offset_ += 4;
+    return v;
+  }
+  // roia-hot
+  std::uint64_t readU64() {
+    require(8);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(data_[offset_ + i]) << (8 * i);
+    }
+    offset_ += 8;
+    return v;
+  }
   std::int32_t readI32() { return static_cast<std::int32_t>(readU32()); }
   std::int64_t readI64() { return static_cast<std::int64_t>(readU64()); }
-  float readF32();
-  double readF64();
+  float readF32() { return std::bit_cast<float>(readU32()); }
+  double readF64() { return std::bit_cast<double>(readU64()); }
   bool readBool() { return readU8() != 0; }
 
   std::uint64_t readVarU64();

@@ -83,13 +83,18 @@ class WireIn {
     const std::span<const std::uint8_t> s = reader_.readByteSpan();
     v.assign(s.begin(), s.end());
   }
-  /// Replaces `v` with the decoded elements, appended one by one. Every
-  /// element takes at least one byte, so a count beyond the remaining
-  /// payload is malformed and must not drive a huge reservation.
-  template <class T, class Each>
-  void list(std::vector<T>& v, Each&& each) {
+  /// Reads a list's varint count. Every element takes at least one byte,
+  /// so a count beyond the remaining payload is malformed and must not
+  /// drive a huge reservation.
+  std::uint64_t listCount() {
     const std::uint64_t count = reader_.readVarU64();
     if (count > reader_.remaining()) throw DecodeError("implausible list count");
+    return count;
+  }
+  /// Replaces `v` with the decoded elements, appended one by one.
+  template <class T, class Each>
+  void list(std::vector<T>& v, Each&& each) {
+    const std::uint64_t count = listCount();
     v.clear();
     v.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) each(v.emplace_back());

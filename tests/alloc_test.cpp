@@ -1,20 +1,29 @@
-// Steady-state delta replication allocates nothing. This binary replaces
-// global operator new/delete with malloc/free plus a counter that is armed
-// only inside the measured scope, so it lives apart from roia_tests.
+// Steady-state hot paths allocate nothing. This binary replaces global
+// operator new/delete with malloc/free plus a counter that is armed only
+// inside the measured scope, so it lives apart from roia_tests.
 //
-// Each round is one link tick: move ~20% of the entities, encode the view
-// into a reused ByteWriter, decode it, and ack it. After a short warm-up
-// (the link ends fill their retained-view buffers) every round must run
-// without a single heap allocation, on a client link and on a replica link.
+// Delta replication: each round is one link tick: move ~20% of the
+// entities, encode the view into a reused ByteWriter, decode it, and ack
+// it. After a short warm-up (the link ends fill their retained-view
+// buffers) every round must run without a single heap allocation, on a
+// client link and on a replica link.
+//
+// The event queue at a steady depth of pending events, and the full-codec
+// receive path of a bot (frame decode, then the update's ids), must not
+// allocate either once warmed up.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "game/bots.hpp"
+#include "game/state_update.hpp"
 #include "rtf/snapshot_codec.hpp"
 #include "serialize/byte_buffer.hpp"
+#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -135,6 +144,90 @@ TEST(AllocationTest, ReplicaLinkSteadyStateAllocatesNothing) {
   const LinkRun run = runLink(profile, kAllFields, makeView(64, 3));
   EXPECT_EQ(run.applied, 103u);
   EXPECT_EQ(run.allocations, 0u);
+}
+
+// ~500 pending events, as in a managed session (its queue peaks at
+// 503-1445). Each round pops 500 and schedules a replacement for each; every
+// 20th replacement is cancelled and scheduled again, so the depth holds.
+TEST(AllocationTest, EventQueueSteadyDepthAllocatesNothing) {
+  constexpr std::size_t kDepth = 500;
+  sim::EventQueue queue;
+  std::uint64_t fired = 0;
+  // The size of the simulator's `[this]` callbacks.
+  const auto callback = [counter = &fired] { ++*counter; };
+  static_assert(sizeof(callback) == sizeof(void*));
+  SimTime at;
+  std::uint64_t scheduled = 0;
+  auto scheduleOne = [&] {
+    ++scheduled;
+    const auto delay = static_cast<std::int64_t>(1 + (scheduled * 37) % 997);
+    return queue.schedule(SimTime{at.micros + delay}, callback);
+  };
+  for (std::size_t i = 0; i < kDepth; ++i) scheduleOne();
+  auto round = [&] {
+    for (std::size_t i = 0; i < kDepth; ++i) {
+      queue.pop(at)();
+      const sim::EventHandle handle = scheduleOne();
+      if (i % 20 == 0) {
+        queue.cancel(handle);
+        scheduleOne();
+      }
+    }
+  };
+
+  for (int i = 0; i < 3; ++i) round();
+  std::size_t allocations = 0;
+  {
+    const AllocationScope scope;
+    for (int i = 0; i < 100; ++i) round();
+    allocations = scope.count();
+  }
+  EXPECT_EQ(fired, 103u * kDepth);
+  EXPECT_EQ(queue.size(), kDepth);
+  EXPECT_EQ(allocations, 0u);
+}
+
+// A bot's receive path under the full codec: the frame's update is read in
+// place and only the visible ids are decoded, into the bot's own list.
+// Visible sets vary in size; the warm-up includes the largest.
+TEST(AllocationTest, FullCodecReceivePathAllocatesNothing) {
+  std::vector<ser::Frame> frames;
+  std::vector<std::size_t> sizes;
+  {
+    game::StateUpdatePayload payload;
+    payload.self = {EntityId{1}, 10.0f, 20.0f, 100.0f};
+    std::vector<std::uint8_t> update;
+    for (const std::size_t n : {12, 40, 0, 25, 7, 33}) {
+      payload.visible.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        payload.visible.push_back({EntityId{2 + 3 * i}, static_cast<float>(i),
+                                   -static_cast<float>(i), 90.0f});
+      }
+      game::encodeStateUpdate(payload, update);
+      frames.push_back(SnapshotCodec::encodeStateUpdate(frames.size() + 1, update));
+      sizes.push_back(n);
+    }
+  }
+  game::BotProvider bot;
+  std::size_t seen = 0;
+  auto round = [&](std::size_t r) {
+    const StateUpdateMsg msg = SnapshotCodec::decodeStateUpdate(frames[r % frames.size()]);
+    bot.onStateUpdate(msg.update);
+    seen += bot.lastVisibleCount();
+  };
+
+  for (std::size_t r = 0; r < frames.size(); ++r) round(r);
+  seen = 0;
+  std::size_t allocations = 0;
+  {
+    const AllocationScope scope;
+    for (std::size_t r = 0; r < 100; ++r) round(r);
+    allocations = scope.count();
+  }
+  std::size_t expected = 0;
+  for (std::size_t r = 0; r < 100; ++r) expected += sizes[r % sizes.size()];
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

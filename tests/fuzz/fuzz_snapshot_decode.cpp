@@ -1,6 +1,7 @@
 // Fuzz harness for the decode paths: BaselineReceiver::decodeView
 // (delta/keyframe view payloads), SnapshotCodec::readSnapshot (the full
-// codec's entity stream) and every frame decoder the server and the
+// codec's entity stream), the bots' state-update ids decoder
+// (game::decodeVisibleIds) and every frame decoder the server and the
 // monitoring collector run (rtf::decode*, rtf::decodeMonitoring). The
 // contract under test: for ARBITRARY bytes the decoders either succeed,
 // return nullopt (inapplicable frame), or throw ser::DecodeError — never
@@ -13,7 +14,10 @@
 //   mode 2    the payload split in two, fed through ONE receiver
 //             (exercises the baseline-lookup state machine: a frame
 //             decoded after another frame sees retained baselines)
-//   mode 3+   the payload as one frame for row mode - 3 of the golden frame
+//   mode 3    the payload as a state update, through the ids decoder and
+//             the full decoder; the two must reject the same inputs and
+//             read the same ids from the rest (a mismatch aborts)
+//   mode 4+   the payload as one frame for row mode - 4 of the golden frame
 //             table (tests/wire_samples.hpp): its real decoder, then its
 //             encoder on whatever the decoder accepted
 // where mode = data[0] % kModes.
@@ -32,11 +36,14 @@
 //       fuzz_snapshot_decode FILE...               replay crash inputs
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "../wire_samples.hpp"
+#include "game/state_update.hpp"
 #include "rtf/entity.hpp"
 #include "rtf/snapshot_codec.hpp"
 #include "serialize/byte_buffer.hpp"
@@ -45,7 +52,9 @@ namespace {
 
 using roia::wire_samples::kFrameSamples;
 
-constexpr std::size_t kModes = 3 + std::size(kFrameSamples);
+constexpr std::size_t kIdsMode = 3;
+constexpr std::size_t kFrameModes = 4;
+constexpr std::size_t kModes = kFrameModes + std::size(kFrameSamples);
 
 const roia::rtf::SnapshotCodec& deltaCodec() {
   static const roia::rtf::SnapshotCodec codec = [] {
@@ -71,12 +80,36 @@ void decodeOneView(roia::rtf::BaselineReceiver& receiver,
   }
 }
 
+/// The ids decoder against the full decoder: same verdict, same ids.
+void decodeIds(std::span<const std::uint8_t> payload) {
+  std::optional<roia::game::StateUpdatePayload> full;
+  try {
+    full = roia::game::decodeStateUpdate(payload);
+  } catch (const roia::ser::DecodeError&) {
+  }
+  std::vector<roia::EntityId> ids;
+  try {
+    roia::game::decodeVisibleIds(payload, ids);
+  } catch (const roia::ser::DecodeError&) {
+    if (full) std::abort();  // rejected what the full decoder accepts
+    return;
+  }
+  if (!full || ids.size() != full->visible.size()) std::abort();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] != full->visible[i].id) std::abort();
+  }
+}
+
 void fuzzOne(const std::uint8_t* data, std::size_t size) {
   if (size == 0) return;
   const std::size_t mode = data[0] % kModes;
   const std::span<const std::uint8_t> payload{data + 1, size - 1};
-  if (mode >= 3) {
-    const roia::wire_samples::FrameSample& row = kFrameSamples[mode - 3];
+  if (mode == kIdsMode) {
+    decodeIds(payload);
+    return;
+  }
+  if (mode >= kFrameModes) {
+    const roia::wire_samples::FrameSample& row = kFrameSamples[mode - kFrameModes];
     try {
       (void)row.reencode(roia::ser::Frame{row.type, {payload.begin(), payload.end()}});
     } catch (const roia::ser::DecodeError&) {
@@ -151,8 +184,8 @@ roia::rtf::EntitySnapshot makeEntity(std::uint64_t id) {
 
 /// Golden seed inputs: each is a mode byte plus a payload produced by the
 /// real encoders, covering keyframe, delta-against-baseline, removals, the
-/// client field mask, an empty view, a full-codec snapshot stream, and each
-/// golden frame table row's sample.
+/// client field mask, an empty view, a full-codec snapshot stream, the
+/// golden state update, and each golden frame table row's sample.
 std::vector<std::vector<std::uint8_t>> goldenSeeds() {
   std::vector<std::vector<std::uint8_t>> seeds;
   auto add = [&seeds](std::uint8_t mode, std::span<const std::uint8_t> payload) {
@@ -204,8 +237,13 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
     }
     add(1, stream.bytes());
   }
+  {
+    std::vector<std::uint8_t> update;
+    roia::game::encodeStateUpdate(roia::wire_samples::stateUpdate(), update);
+    add(kIdsMode, update);
+  }
   for (std::size_t i = 0; i < std::size(kFrameSamples); ++i) {
-    add(static_cast<std::uint8_t>(3 + i), kFrameSamples[i].sample().payload);
+    add(static_cast<std::uint8_t>(kFrameModes + i), kFrameSamples[i].sample().payload);
   }
   return seeds;
 }

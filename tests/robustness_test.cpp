@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -85,6 +86,34 @@ TEST(FuzzTest, MessageDecodersRejectGarbagePayloads) {
 }
 
 TEST(FuzzTest, GameCodecsRejectGarbage) {
+  // The bots' ids decoder must reject exactly what the full decoder
+  // rejects, and read the same ids from everything else.
+  std::vector<EntityId> ids;
+  auto idsDecoderAgrees = [&ids](std::span<const std::uint8_t> bytes) {
+    std::optional<game::StateUpdatePayload> full;
+    try {
+      full = game::decodeStateUpdate(bytes);
+    } catch (const ser::DecodeError&) {
+    }
+    bool idsRejected = false;
+    try {
+      game::decodeVisibleIds(bytes, ids);
+    } catch (const ser::DecodeError&) {
+      idsRejected = true;
+    }
+    if (idsRejected || !full) return idsRejected == !full.has_value();
+    std::vector<EntityId> expected;
+    for (const game::VisibleEntity& e : full->visible) expected.push_back(e.id);
+    return ids == expected;
+  };
+  // Every truncation of a real update, so rows and counts are cut at each
+  // byte, not only random bytes that rarely get past the first row.
+  std::vector<std::uint8_t> golden;
+  game::encodeStateUpdate(wire_samples::stateUpdate(), golden);
+  for (std::size_t n = 0; n <= golden.size(); ++n) {
+    ASSERT_TRUE(idsDecoderAgrees(std::span<const std::uint8_t>(golden).first(n))) << "prefix " << n;
+  }
+
   Rng rng(0xCAFE);
   for (int i = 0; i < 2000; ++i) {
     const auto bytes = randomBytes(rng, 32);
@@ -92,10 +121,7 @@ TEST(FuzzTest, GameCodecsRejectGarbage) {
       (void)game::decodeCommands(bytes);
     } catch (const ser::DecodeError&) {
     }
-    try {
-      (void)game::decodeStateUpdate(bytes);
-    } catch (const ser::DecodeError&) {
-    }
+    ASSERT_TRUE(idsDecoderAgrees(bytes)) << "input " << i;
     try {
       (void)game::decodeStats(bytes);
     } catch (const ser::DecodeError&) {

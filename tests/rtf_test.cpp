@@ -110,10 +110,11 @@ TEST(MessagesTest, ClientInputRoundTrip) {
 
 TEST(MessagesTest, StateUpdateRoundTrip) {
   const std::vector<std::uint8_t> update{9, 9, 9, 9};
-  const StateUpdateMsg decoded =
-      SnapshotCodec::decodeStateUpdate(SnapshotCodec::encodeStateUpdate(55, update));
+  // The decoded update views the frame's payload, so the frame must outlive it.
+  const ser::Frame frame = SnapshotCodec::encodeStateUpdate(55, update);
+  const StateUpdateMsg decoded = SnapshotCodec::decodeStateUpdate(frame);
   EXPECT_EQ(decoded.serverTick, 55u);
-  EXPECT_EQ(decoded.update, update);
+  EXPECT_EQ(std::vector<std::uint8_t>(decoded.update.begin(), decoded.update.end()), update);
 }
 
 TEST(MessagesTest, ForwardedInputRoundTrip) {
@@ -161,7 +162,7 @@ TEST(MessagesTest, MigrationRoundTrip) {
 TEST(MessagesTest, WrongTypeRejected) {
   ClientInputMsg msg{ClientId{1}, 0, {}};
   const ser::Frame frame = encode(msg);
-  EXPECT_THROW(SnapshotCodec::decodeStateUpdate(frame), ser::DecodeError);
+  EXPECT_THROW((void)SnapshotCodec::decodeStateUpdate(frame), ser::DecodeError);
   EXPECT_THROW(decodeMigrationData(frame), ser::DecodeError);
 }
 

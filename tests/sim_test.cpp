@@ -71,6 +71,112 @@ TEST(EventQueueTest, EmptyNextTimeIsMax) {
   EXPECT_EQ(q.nextTime(), SimTime::max());
 }
 
+// Callbacks live in reused slab slots, so the cases below pin down what a
+// reused slot must not do: let a stale handle reach the new event, or
+// revive a cancelled event's heap entry.
+
+TEST(EventQueueTest, StaleHandleDoesNotCancelEventInReusedSlot) {
+  EventQueue q;
+  const EventHandle fired = q.schedule(SimTime{1}, [] {});
+  SimTime at;
+  q.pop(at)();
+  bool ran = false;
+  const EventHandle reuse = q.schedule(SimTime{2}, [&] { ran = true; });
+  ASSERT_EQ(reuse.slot, fired.slot);
+  EXPECT_NE(reuse.seq, fired.seq);
+  q.cancel(fired);  // stale: its event already fired
+  ASSERT_EQ(q.size(), 1u);
+  q.pop(at)();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(at, SimTime{2});
+
+  // The same after a cancel: the cancelled handle must not reach the event
+  // that took its slot over.
+  const EventHandle cancelled = q.schedule(SimTime{3}, [] {});
+  q.cancel(cancelled);
+  ran = false;
+  const EventHandle next = q.schedule(SimTime{4}, [&] { ran = true; });
+  ASSERT_EQ(next.slot, cancelled.slot);
+  q.cancel(cancelled);
+  ASSERT_EQ(q.size(), 1u);
+  q.pop(at)();
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, CancelledEntrySkippedWhenItsSlotHoldsAnEarlierEvent) {
+  EventQueue q;
+  std::vector<int> fired;
+  const EventHandle late = q.schedule(SimTime{50}, [&] { fired.push_back(50); });
+  q.schedule(SimTime{60}, [&] { fired.push_back(60); });
+  q.cancel(late);
+  EXPECT_EQ(q.size(), 1u);
+  const EventHandle early = q.schedule(SimTime{10}, [&] { fired.push_back(10); });
+  ASSERT_EQ(early.slot, late.slot);
+  ASSERT_EQ(q.size(), 2u);
+  SimTime at;
+  q.pop(at)();
+  EXPECT_EQ(at, SimTime{10});
+  ASSERT_EQ(q.size(), 1u);
+  // The dead entry at t=50 names the slot the t=10 event used; it must not
+  // fire anything on its way out of the heap.
+  EXPECT_EQ(q.nextTime(), SimTime{60});
+  q.pop(at)();
+  EXPECT_EQ(at, SimTime{60});
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, (std::vector<int>{10, 60}));
+}
+
+TEST(EventQueueTest, CancelledEntrySkippedWhenItsSlotHoldsALaterEvent) {
+  EventQueue q;
+  std::vector<int> fired;
+  const EventHandle early = q.schedule(SimTime{10}, [&] { fired.push_back(10); });
+  q.schedule(SimTime{30}, [&] { fired.push_back(30); });
+  q.cancel(early);
+  EXPECT_EQ(q.size(), 1u);
+  const EventHandle late = q.schedule(SimTime{50}, [&] { fired.push_back(50); });
+  ASSERT_EQ(late.slot, early.slot);
+  ASSERT_EQ(q.size(), 2u);
+  // The dead entry at t=10 surfaces first and must be dropped, not fire the
+  // t=50 callback early.
+  EXPECT_EQ(q.nextTime(), SimTime{30});
+  SimTime at;
+  q.pop(at)();
+  EXPECT_EQ(at, SimTime{30});
+  ASSERT_EQ(q.size(), 1u);
+  q.pop(at)();
+  EXPECT_EQ(at, SimTime{50});
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, (std::vector<int>{30, 50}));
+}
+
+TEST(EventQueueTest, SizeCountsOnlyLiveEvents) {
+  EventQueue q;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 8; ++i) handles.push_back(q.schedule(SimTime{i}, [] {}));
+  EXPECT_EQ(q.size(), 8u);
+  q.cancel(handles[3]);
+  q.cancel(handles[3]);  // twice: still one event gone
+  q.cancel(handles[0]);
+  EXPECT_EQ(q.size(), 6u);
+  SimTime at;
+  q.pop(at)();  // t=1: the cancelled t=0 entry is skipped
+  EXPECT_EQ(at, SimTime{1});
+  EXPECT_EQ(q.size(), 5u);
+  q.cancel(handles[1]);  // already fired
+  EXPECT_EQ(q.size(), 5u);
+  q.schedule(SimTime{0}, [] {});  // reuses a freed slot
+  EXPECT_EQ(q.size(), 6u);
+  std::size_t popped = 0;
+  while (!q.empty()) {
+    q.pop(at)();
+    ++popped;
+  }
+  EXPECT_EQ(popped, 6u);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.nextTime(), SimTime::max());
+}
+
 TEST(SimulationTest, ClockAdvancesWithEvents) {
   Simulation sim;
   std::vector<std::int64_t> times;

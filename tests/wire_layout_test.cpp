@@ -112,11 +112,8 @@ TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {
   }
   {
     SCOPED_TRACE("StateUpdatePayload");
-    const game::StateUpdatePayload payload{
-        {EntityId{1}, 10.5f, 20.25f, 90.0f},
-        {{EntityId{2}, 1.5f, 2.5f, 50.0f}, {EntityId{300}, -3.0f, 4.0f, 75.0f}}};
     std::vector<std::uint8_t> bytes;
-    game::encodeStateUpdate(payload, bytes);
+    game::encodeStateUpdate(wire_samples::stateUpdate(), bytes);
     EXPECT_EQ(hex(bytes),
               "01000028410000a2410000b442"
               "02"
@@ -125,6 +122,10 @@ TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {
     std::vector<std::uint8_t> again;
     game::encodeStateUpdate(game::decodeStateUpdate(bytes), again);
     EXPECT_EQ(again, bytes);
+    // The bots' ids decoder walks the same rows.
+    std::vector<EntityId> ids;
+    game::decodeVisibleIds(bytes, ids);
+    EXPECT_EQ(ids, (std::vector<EntityId>{EntityId{2}, EntityId{300}}));
   }
   {
     SCOPED_TRACE("list count beyond the payload");

@@ -20,6 +20,7 @@
 #include <cstdint>
 
 #include "common/types.hpp"
+#include "game/state_update.hpp"
 #include "rtf/entity.hpp"
 #include "rtf/messages.hpp"
 #include "rtf/monitoring.hpp"
@@ -70,6 +71,14 @@ inline rtf::MonitoringSnapshot monitoring() {
   m.degradationLevel = 2;
   m.shedObservers = 9;
   return m;
+}
+
+/// The FPS demo's state-update payload: self, then visible entities 2 and
+/// 300. WireLayoutTest pins its bytes (and what both decoders read from
+/// them); the fuzz harness seeds its ids-decoder mode with them.
+inline game::StateUpdatePayload stateUpdate() {
+  return {{EntityId{1}, 10.5f, 20.25f, 90.0f},
+          {{EntityId{2}, 1.5f, 2.5f, 50.0f}, {EntityId{300}, -3.0f, 4.0f, 75.0f}}};
 }
 
 inline ser::Frame encodeAny(const rtf::MonitoringSnapshot& snapshot) {
