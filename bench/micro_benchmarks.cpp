@@ -414,25 +414,48 @@ void BM_AoiQuerySpreadGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_AoiQuerySpreadGrid)->Arg(50)->Arg(300);
 
-// The Euclidean query as the paper's session runs it: the FpsConfig AOI
-// radius (220) over the spread arena sees ~37 of 300 entities, against ~10
-// at the gate pair's radius 110.
-void BM_AoiQuerySessionEuclid(benchmark::State& state) {
-  rtf::World world = spreadWorld(static_cast<std::size_t>(state.range(0)));
-  game::EuclideanInterest euclid;
+// AOI queries as the paper's session runs them: the FpsConfig AOI radius
+// (220) over the spread arena, which sees ~35 of 300 entities against ~10
+// at the gate pair's radius 110, and every entity in turn the viewer, as
+// in a server tick. One fixed viewer would let the branch predictor learn
+// a candidate pattern that a session never repeats. `visible` is the mean
+// set size.
+void runSessionQueries(benchmark::State& state, game::InterestPolicy& policy) {
+  const rtf::World world = spreadWorld(static_cast<std::size_t>(state.range(0)));
   sim::CpuCostModel cpu;
   rtf::CostMeter meter(cpu);
-  const auto viewer = *world.find(EntityId{1});
+  policy.prepare(world, meter);
+  std::vector<rtf::ConstEntityRef> viewers;
+  world.forEach([&viewers](rtf::ConstEntityRef e) { viewers.push_back(e); });
   const double radius = game::FpsConfig{}.aoiRadius;
   std::vector<std::uint32_t> out;
+  std::size_t next = 0;
+  std::size_t visible = 0;
   for (auto _ : state) {
-    euclid.query(world, viewer, radius, meter, out);
+    policy.query(world, viewers[next], radius, meter, out);
+    next = next + 1 == viewers.size() ? 0 : next + 1;
+    visible += out.size();
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["visible"] = static_cast<double>(out.size());
+  state.counters["visible"] =
+      static_cast<double>(visible) / static_cast<double>(state.iterations());
+}
+
+void BM_AoiQuerySessionEuclid(benchmark::State& state) {
+  game::EuclideanInterest euclid;
+  runSessionQueries(state, euclid);
 }
 BENCHMARK(BM_AoiQuerySessionEuclid)->Arg(300);
+
+// applyGridInterestProfile's geometry: cells of half the radius, so a
+// query spans up to 5x5 cells. perf_report.py --require-aoi-speedup also
+// requires it to be no slower than BM_AoiQuerySessionEuclid.
+void BM_AoiQuerySessionGrid(benchmark::State& state) {
+  game::GridInterest grid(game::FpsConfig{}.aoiRadius * 0.5);
+  runSessionQueries(state, grid);
+}
+BENCHMARK(BM_AoiQuerySessionGrid)->Arg(300);
 
 void BM_EventQueueScheduleDrain(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,9 +1,11 @@
-// Small math helpers: 2-D vectors for the virtual environment and
-// polynomial evaluation shared by the fitting and model layers.
+// Small math helpers: 2-D vectors for the virtual environment,
+// polynomial evaluation shared by the fitting and model layers, and exact
+// inline rounding for the hot paths.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace roia {
@@ -42,6 +44,19 @@ inline double evalPolynomial(std::span<const double> coeffs, double x) {
     acc = acc * x + coeffs[i];
   }
   return acc;
+}
+
+/// std::llround(x) for every double, inline: g++ emits llround as an
+/// out-of-line libm call, and the codec and the cost model round once per
+/// field and once per charge. Truncation is exact below 2^62, and so is the
+/// remainder x - trunc(x), so comparing it with +-0.5 rounds half away from
+/// zero exactly as llround does. Larger magnitudes, infinities and NaN
+/// take llround itself.
+inline std::int64_t roundHalfAway(double x) {
+  if (!(std::fabs(x) < 0x1p62)) return std::llround(x);
+  const auto truncated = static_cast<std::int64_t>(x);
+  const double remainder = x - static_cast<double>(truncated);
+  return truncated + (remainder >= 0.5 ? 1 : 0) - (remainder <= -0.5 ? 1 : 0);
 }
 
 /// Linear interpolation.

@@ -1,6 +1,7 @@
 #include "game/interest.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <span>
 
@@ -114,6 +115,9 @@ void GridInterest::rebuild(const rtf::World& world) {
   entries_.resize(n);
   cursor_.assign(cellStart_.begin(), cellStart_.end() - 1);
   for (std::uint32_t s = 0; s < n; ++s) entries_[cursor_[cellOf_[s]]++] = s;
+  // The query bitmap only grows, so a policy shared by replicas of
+  // different sizes stops allocating once it has seen the largest.
+  if (hits_.size() * 64 < n) hits_.resize((n + 63) / 64);
   epoch_ = world.structuralEpoch();
   valid_ = true;
 }
@@ -173,12 +177,16 @@ void GridInterest::query(const rtf::World& world, rtf::ConstEntityRef viewer, do
     rebuild(world);
     cost += costs_.rebuildPerEntityCost * static_cast<double>(world.size());
   }
+  // A slot is hit at most once. Reserving before the first bit is set
+  // means nothing below can throw and leave the bitmap dirty.
+  const std::size_t n = world.size();
+  visible.reserve(n);
   const std::span<const std::uint64_t> ids = world.ids();
   const std::span<const Vec2> positions = world.positions();
   const double radiusSq = radius * radius;
   // Cell range and circle/cell culling run against the viewer position
-  // clamped into the grid rect (exactness argument in the class comment);
-  // distance tests use live positions.
+  // clamped into the grid rect (see the class comment); distance tests use
+  // live positions.
   const double cvx = std::clamp(viewer.position.x, originX_,
                                 originX_ + cellSize_ * static_cast<double>(cols_));
   const double cvy = std::clamp(viewer.position.y, originY_,
@@ -189,6 +197,8 @@ void GridInterest::query(const rtf::World& world, rtf::ConstEntityRef viewer, do
   const std::size_t hiY = clampCell(std::floor((cvy + radius - originY_) / cellSize_), rows_);
   const std::uint64_t viewerId = viewer.id.value;
   const Vec2 viewerPos = viewer.position;
+  std::uint64_t* const hits = hits_.data();
+  std::size_t hitCount = 0;
   for (std::size_t cy = loY; cy <= hiY; ++cy) {
     const double dy = axisDistance(cvy, originY_ + cellSize_ * static_cast<double>(cy), cellSize_);
     for (std::size_t cx = loX; cx <= hiX; ++cx) {
@@ -196,20 +206,38 @@ void GridInterest::query(const rtf::World& world, rtf::ConstEntityRef viewer, do
       const double dx =
           axisDistance(cvx, originX_ + cellSize_ * static_cast<double>(cx), cellSize_);
       if (dx * dx + dy * dy > radiusSq) continue;  // cell entirely out of range
-      const std::uint32_t c = static_cast<std::uint32_t>(cy * cols_ + cx);
+      const std::size_t c = cy * cols_ + cx;
+      // Whether a candidate passes the circle test follows no pattern, so a
+      // branch on it would mispredict often: the viewer check and the test
+      // form a 0/1 mask that sets the candidate's bit.
+      std::uint32_t tested = 0;
       for (std::uint32_t i = cellStart_[c]; i < cellStart_[c + 1]; ++i) {
         const std::uint32_t s = entries_[i];
-        if (ids[s] == viewerId) continue;
-        cost += costs_.candidateTestCost;
-        if (positions[s].distanceSq(viewerPos) <= radiusSq) visible.push_back(s);
+        const std::uint64_t other = ids[s] != viewerId ? 1 : 0;
+        const std::uint64_t inRange = positions[s].distanceSq(viewerPos) <= radiusSq ? 1 : 0;
+        hits[s >> 6] |= (other & inRange) << (s & 63);
+        hitCount += other & inRange;
+        tested += static_cast<std::uint32_t>(other);
       }
+      // One add per tested candidate, in the same order as a per-candidate
+      // charge: the charged double keeps its bits.
+      for (; tested > 0; --tested) cost += costs_.candidateTestCost;
     }
   }
   meter.charge(cost);
-  // Cells are visited in spatial order; slot order == id order, so one sort
-  // restores the id-ordered contract shared by all IM algorithms. Entities
-  // live in exactly one cell, so no duplicate pass is needed.
-  std::sort(visible.begin(), visible.end());
+  // Set bits in ascending order are ascending slots, i.e. ascending ids:
+  // the order every IM algorithm returns, without a sort. Each word is
+  // cleared as it is read, leaving the bitmap all-zero for the next query.
+  // Entities live in exactly one cell, so no slot is met twice.
+  visible.resize(hitCount);
+  std::uint32_t* out = visible.data();
+  const std::size_t words = (n + 63) / 64;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = hits[w]; bits != 0; bits &= bits - 1) {
+      *out++ = static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+    }
+    hits[w] = 0;
+  }
 }
 
 std::size_t GridInterest::scanCandidates(const rtf::World& world, Vec2 center,
@@ -227,13 +255,21 @@ std::size_t GridInterest::scanCandidates(const rtf::World& world, Vec2 center,
   std::size_t candidates = 0;
   for (std::size_t cy = loY; cy <= hiY; ++cy) {
     const double dy = axisDistance(ccy, originY_ + cellSize_ * static_cast<double>(cy), cellSize_);
-    for (std::size_t cx = loX; cx <= hiX; ++cx) {
+    const auto culled = [&](std::size_t cx) {
       const double dx =
           axisDistance(ccx, originX_ + cellSize_ * static_cast<double>(cx), cellSize_);
-      if (dx * dx + dy * dy > radiusSq) continue;
-      const std::size_t c = cy * cols_ + cx;
-      candidates += cellStart_[c + 1] - cellStart_[c];
-    }
+      return dx * dx + dy * dy > radiusSq;
+    };
+    // Along a row the axis distance falls to its minimum and rises again,
+    // so the cells that overlap the circle form one run, and so do their
+    // CSR entries: the row's occupancy is one difference of offsets.
+    std::size_t x0 = loX;
+    std::size_t x1 = hiX;
+    while (x0 <= x1 && culled(x0)) ++x0;
+    if (x0 > x1) continue;
+    while (culled(x1)) --x1;
+    const std::size_t row = cy * cols_;
+    candidates += cellStart_[row + x1 + 1] - cellStart_[row + x0];
   }
   return candidates;
 }

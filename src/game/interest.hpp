@@ -120,9 +120,19 @@ class EuclideanInterest final : public InterestPolicy {
 /// clamp into edge cells. Queries compute both the cell range and the
 /// circle/cell culling against the *clamped* viewer position — clamping
 /// both endpoints of a segment into the same interval never increases a
-/// per-axis distance, so no cell holding an in-range entity is ever
-/// skipped; the actual distance tests use live positions, keeping visible
-/// sets exactly equal to the Euclidean algorithm's.
+/// per-axis distance, so no cell holding a candidate in range is ever
+/// skipped. The distance tests use live positions.
+///
+/// The candidates are the slots as filed at prepare() time. Visible sets
+/// equal the Euclidean algorithm's when no entity has changed cells since
+/// then. One that has (a respawn teleports it, see
+/// FpsApplication::applyDamage, or it crosses a cell edge later in the
+/// same tick) is tested from the cell it was filed in, and is missed
+/// where that cell is culled or out of range, until the next prepare().
+///
+/// A query marks its hits in a slot bitmap and emits the set bits in
+/// ascending order, so the result needs no sort; the bitmap is all-zero
+/// between queries.
 class GridInterest final : public InterestPolicy {
  public:
   /// `cellSize` should be on the order of half the interest radius.
@@ -163,6 +173,7 @@ class GridInterest final : public InterestPolicy {
   std::vector<std::uint32_t> cellOf_;     ///< slot -> current cell
   std::vector<std::uint32_t> cursor_;     ///< counting-sort scratch
   std::vector<std::pair<std::uint32_t, std::uint32_t>> moved_;  ///< sweep scratch
+  std::vector<std::uint64_t> hits_;  ///< query scratch: one bit per slot, grow-only
 };
 
 /// Fidelity-scaled wrapper: multiplies every query radius by the world's

@@ -32,16 +32,20 @@ StateUpdatePayload decodeStateUpdate(std::span<const std::uint8_t> bytes) {
 
 // roia-hot
 void decodeVisibleIds(std::span<const std::uint8_t> bytes, std::vector<EntityId>& ids) {
+  // A row is the VisibleEntity walker's id varint and three F32s (x, y,
+  // health). One bounds-checked skip over the floats rejects exactly the
+  // inputs their reads would.
+  constexpr std::size_t kRowFloatBytes = 3 * sizeof(float);
   ser::ByteReader reader(bytes);
   ser::WireIn io(reader);
-  VisibleEntity row;
-  wire(io, row);  // the viewer's own state
+  reader.readVarU64();  // the viewer's own row
+  reader.skip(kRowFloatBytes);
   const std::uint64_t count = io.listCount();
   ids.clear();
   ids.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    wire(io, row);
-    ids.push_back(row.id);
+    ids.push_back(EntityId{reader.readVarU64()});
+    reader.skip(kRowFloatBytes);
   }
 }
 

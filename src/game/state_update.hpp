@@ -30,10 +30,10 @@ void encodeStateUpdate(const StateUpdatePayload& payload, std::vector<std::uint8
 [[nodiscard]] StateUpdatePayload decodeStateUpdate(std::span<const std::uint8_t> bytes);
 
 /// Decodes only the ids of the visible entities into `ids` (cleared, then
-/// reserved to the decoded count): the rows are walked exactly as
-/// decodeStateUpdate walks them, so it throws ser::DecodeError on exactly
-/// the same inputs, but no StateUpdatePayload is built. The receive path
-/// of a bot, which acts on ids only.
+/// reserved to the decoded count): each row's id is read and its floats
+/// are skipped with the same bounds check, so it throws ser::DecodeError on
+/// exactly the inputs decodeStateUpdate rejects, but no StateUpdatePayload
+/// is built. The receive path of a bot, which acts on ids only.
 void decodeVisibleIds(std::span<const std::uint8_t> bytes, std::vector<EntityId>& ids);
 
 }  // namespace roia::game

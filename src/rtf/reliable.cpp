@@ -11,7 +11,7 @@ ser::Frame encodeReliableEnvelope(std::uint64_t seq, const ser::Frame& inner) {
   ser::ByteWriter writer(inner.payload.size() + 12);
   writer.writeVarU64(seq);
   writer.writeU16(static_cast<std::uint16_t>(inner.type));
-  for (const std::uint8_t b : inner.payload) writer.writeU8(b);
+  writer.appendRaw(inner.payload);
   ser::Frame frame;
   frame.type = ser::MessageType::kReliableData;
   frame.payload = std::move(writer).take();

@@ -1,9 +1,14 @@
 #include "rtf/snapshot_codec.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
+
+#include "common/math.hpp"
 
 namespace roia::rtf {
 namespace {
@@ -14,36 +19,46 @@ const EntitySnapshot kDefaultEntry{};
 // One lattice step per world unit times scale; symmetric rounding so the
 // quantization error bound |decoded - true| <= 0.5/scale holds everywhere.
 std::int64_t quant(float v, double scale) {
-  return std::llround(static_cast<double>(v) * scale);
+  return roundHalfAway(static_cast<double>(v) * scale);
 }
 
 float dequant(std::int64_t q, double scale) {
   return static_cast<float>(static_cast<double>(q) / scale);
 }
 
-/// Zigzag varint of the lattice delta when scaled, raw F32 otherwise. The
-/// value is computed content, so each direction is written out.
-void scaledDelta(ser::WireOut& io, float base, float now, double scale) {
-  if (scale > 0.0) {
-    io.svar(quant(now, scale) - quant(base, scale));
-  } else {
+/// A scaled field travels as its lattice step from the base entry (zigzag
+/// varint), an unscaled one as raw F32. The sender found the step with the
+/// mask (SnapshotCodec::diff); the receiver adds it to the base's lattice
+/// value.
+template <class IO>
+void scaledField(IO& io, float base, ser::WireRef<IO, float> now,
+                 ser::WireRef<IO, std::int64_t> step, double scale) {
+  if (scale <= 0.0) {
     io.f32(now);
+    return;
   }
+  io.svar(step);
+  if constexpr (IO::kDecoding) now = dequant(quant(base, scale) + step, scale);
 }
 
-void scaledDelta(ser::WireIn& io, float base, float& now, double scale) {
-  if (scale > 0.0) {
-    std::int64_t delta = 0;
-    io.svar(delta);
-    now = dequant(quant(base, scale) + delta, scale);
-  } else {
-    io.f32(now);
-  }
-}
-
-bool scaledEqual(float a, float b, double scale) {
-  if (scale > 0.0) return quant(a, scale) == quant(b, scale);
-  return a == b;
+/// `to = from`, but the appData vector is touched only when either side
+/// holds bytes: client views never do, and an empty-to-empty assignment
+/// still costs a call per entry. The structured binding names every data
+/// member, so a field added to EntitySnapshot does not compile here until
+/// it is copied too.
+void copyEntry(EntitySnapshot& to, const EntitySnapshot& from) {
+  const auto& [id, kind, owner, client, x, y, vx, vy, health, version, appData] = from;
+  to.id = id;
+  to.kind = kind;
+  to.owner = owner;
+  to.client = client;
+  to.x = x;
+  to.y = y;
+  to.vx = vx;
+  to.vy = vy;
+  to.health = health;
+  to.version = version;
+  if (!to.appData.empty() || !appData.empty()) to.appData = appData;
 }
 
 // The schema table. Row order is the wire order of both the full snapshot
@@ -65,18 +80,40 @@ constexpr SnapshotSchemaRow kSnapshotSchema[] = {
     {SnapshotField::kAppData, "appData"},
 };
 
+/// The maskable fields in wire order: kSnapshotSchema without its id row.
+constexpr std::array<SnapshotField, std::size(kSnapshotSchema) - 1> kWireOrder = [] {
+  std::array<SnapshotField, std::size(kSnapshotSchema) - 1> order{};
+  std::size_t next = 0;
+  for (const SnapshotSchemaRow& row : kSnapshotSchema) {
+    if (row.field != SnapshotField::kId) order[next++] = row.field;
+  }
+  return order;
+}();
+
+/// Every mask with its bits renumbered to wire order: bit i of
+/// kWireMask[mask] stands for kWireOrder[i], so walking its set bits from
+/// the lowest visits exactly the masked fields, in wire order.
+constexpr std::array<FieldMask, kAllFields + 1> kWireMask = [] {
+  std::array<FieldMask, kAllFields + 1> table{};
+  for (std::size_t mask = 0; mask < table.size(); ++mask) {
+    for (std::size_t i = 0; i < kWireOrder.size(); ++i) {
+      if ((mask & fieldBit(kWireOrder[i])) != 0) table[mask] |= static_cast<FieldMask>(1u << i);
+    }
+  }
+  return table;
+}();
+
 /// The delta entry layout: the mask, then every masked field in schema
-/// order, positions and velocities as lattice deltas and the version as a
+/// order, positions and velocities as lattice steps and the version as a
 /// difference against `from` (the baseline entry). When decoding, `s` holds
-/// the baseline on entry, so `from` may alias it.
+/// the baseline on entry, so `from` may alias it. Mask bits no field owns
+/// are ignored.
 template <class IO>
 void wireEntry(IO& io, const EntitySnapshot& from, ser::WireRef<IO, EntitySnapshot> s,
-               ser::WireRef<IO, FieldMask> mask, const ReplicationProfile& profile) {
-  io.var(mask);
-  for (const SnapshotSchemaRow& row : kSnapshotSchema) {
-    if (row.field == SnapshotField::kId) continue;
-    if ((mask & fieldBit(row.field)) == 0) continue;
-    switch (row.field) {
+               ser::WireRef<IO, EntryDiff> diff, const ReplicationProfile& profile) {
+  io.var(diff.mask);
+  for (FieldMask rest = kWireMask[diff.mask & kAllFields]; rest != 0; rest &= rest - 1) {
+    switch (kWireOrder[std::countr_zero(rest)]) {
       case SnapshotField::kId:
         break;
       case SnapshotField::kKind:
@@ -89,16 +126,16 @@ void wireEntry(IO& io, const EntitySnapshot& from, ser::WireRef<IO, EntitySnapsh
         io.var(s.client.value);
         break;
       case SnapshotField::kX:
-        scaledDelta(io, from.x, s.x, profile.positionScale);
+        scaledField(io, from.x, s.x, diff.x, profile.positionScale);
         break;
       case SnapshotField::kY:
-        scaledDelta(io, from.y, s.y, profile.positionScale);
+        scaledField(io, from.y, s.y, diff.y, profile.positionScale);
         break;
       case SnapshotField::kVx:
-        scaledDelta(io, from.vx, s.vx, profile.velocityScale);
+        scaledField(io, from.vx, s.vx, diff.vx, profile.velocityScale);
         break;
       case SnapshotField::kVy:
-        scaledDelta(io, from.vy, s.vy, profile.velocityScale);
+        scaledField(io, from.vy, s.vy, diff.vy, profile.velocityScale);
         break;
       case SnapshotField::kHealth:
         io.f32(s.health);
@@ -242,42 +279,52 @@ void SnapshotCodec::quantize(EntitySnapshot& s) const {
   }
 }
 
-FieldMask SnapshotCodec::changedFields(const EntitySnapshot& base, const EntitySnapshot& now,
-                                       FieldMask allowed) const {
+EntryDiff SnapshotCodec::diff(const EntitySnapshot& base, const EntitySnapshot& now,
+                              FieldMask allowed) const {
   // Fields outside `allowed` are never compared: a client link skips the
-  // velocity lattice and the appData bytes it never sends.
-  FieldMask mask = 0;
-  const auto mark = [&mask, allowed](SnapshotField field, auto differs) {
-    if ((allowed & fieldBit(field)) != 0 && differs()) mask |= fieldBit(field);
+  // velocity lattice and the appData bytes it never sends. Each allowed
+  // scaled coordinate is quantized once per side, for the mask and the step.
+  EntryDiff result;
+  const auto mark = [&result, allowed](SnapshotField field, auto differs) {
+    if ((allowed & fieldBit(field)) != 0 && differs()) result.mask |= fieldBit(field);
   };
-  mark(SnapshotField::kX, [&] { return !scaledEqual(base.x, now.x, profile_.positionScale); });
-  mark(SnapshotField::kY, [&] { return !scaledEqual(base.y, now.y, profile_.positionScale); });
-  mark(SnapshotField::kVx, [&] { return !scaledEqual(base.vx, now.vx, profile_.velocityScale); });
-  mark(SnapshotField::kVy, [&] { return !scaledEqual(base.vy, now.vy, profile_.velocityScale); });
+  const auto lattice = [](float b, float n, double scale, std::int64_t& step) {
+    if (scale <= 0.0) return b != n;
+    const std::int64_t qb = quant(b, scale);
+    const std::int64_t qn = quant(n, scale);
+    step = qn - qb;
+    return qn != qb;
+  };
+  const double ps = profile_.positionScale;
+  const double vs = profile_.velocityScale;
+  mark(SnapshotField::kX, [&] { return lattice(base.x, now.x, ps, result.x); });
+  mark(SnapshotField::kY, [&] { return lattice(base.y, now.y, ps, result.y); });
+  mark(SnapshotField::kVx, [&] { return lattice(base.vx, now.vx, vs, result.vx); });
+  mark(SnapshotField::kVy, [&] { return lattice(base.vy, now.vy, vs, result.vy); });
   mark(SnapshotField::kHealth, [&] { return base.health != now.health; });
   mark(SnapshotField::kVersion, [&] { return base.version != now.version; });
   mark(SnapshotField::kKind, [&] { return base.kind != now.kind; });
   mark(SnapshotField::kOwner, [&] { return base.owner != now.owner; });
   mark(SnapshotField::kClient, [&] { return base.client != now.client; });
   mark(SnapshotField::kAppData, [&] { return base.appData != now.appData; });
-  return mask;
+  return result;
 }
 
 // roia-hot
 void SnapshotCodec::writeEntry(ser::ByteWriter& writer, const EntitySnapshot* base,
-                               const EntitySnapshot& now, FieldMask mask) const {
+                               const EntitySnapshot& now, const EntryDiff& diff) const {
   ser::WireOut out(writer);
-  wireEntry(out, base != nullptr ? *base : kDefaultEntry, now, mask, profile_);
+  wireEntry(out, base != nullptr ? *base : kDefaultEntry, now, diff, profile_);
 }
 
 // roia-hot
 void SnapshotCodec::readEntry(ser::ByteReader& reader, EntityId id, const EntitySnapshot* base,
                               EntitySnapshot& out) const {
-  out = base != nullptr ? *base : kDefaultEntry;
+  copyEntry(out, base != nullptr ? *base : kDefaultEntry);
   out.id = id;
   ser::WireIn in(reader);
-  FieldMask mask = 0;
-  wireEntry(in, out, out, mask, profile_);
+  EntryDiff read;
+  wireEntry(in, out, out, read, profile_);
 }
 
 // roia-hot
@@ -291,7 +338,7 @@ BaselineSender::EncodeResult BaselineSender::encodeView(std::uint64_t tick,
     if (i > 0 && view[i].id.value <= view[i - 1].id.value) {
       throw std::invalid_argument("encodeView: view ids must be strictly ascending");
     }
-    staging_[i] = view[i];
+    copyEntry(staging_[i], view[i]);
     codec_->quantize(staging_[i]);
   }
 
@@ -321,9 +368,8 @@ BaselineSender::EncodeResult BaselineSender::encodeView(std::uint64_t tick,
     out.writeVarU64(snap.id.value - prevId);
     prevId = snap.id.value;
     const EntitySnapshot* base = seek(baseline, cursor, snap.id);
-    const FieldMask mask =
-        codec_->changedFields(base != nullptr ? *base : kDefaultEntry, snap, fields_);
-    codec_->writeEntry(out, base, snap, mask);
+    codec_->writeEntry(out, base, snap,
+                       codec_->diff(base != nullptr ? *base : kDefaultEntry, snap, fields_));
   }
   removedIds_.clear();
   for (const EntityId id : removed) removedIds_.push_back(id.value);

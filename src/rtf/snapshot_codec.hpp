@@ -88,6 +88,18 @@ inline constexpr FieldMask kClientViewFields =
     fieldBit(SnapshotField::kX) | fieldBit(SnapshotField::kY) |
     fieldBit(SnapshotField::kHealth) | fieldBit(SnapshotField::kClient);
 
+/// One entry against its baseline entry, as a sender finds it: the mask of
+/// fields whose encoded value differs, and the lattice step (now - base) of
+/// each compared scaled field, 0 for the others. Each coordinate is
+/// quantized once per side and serves both the mask and the written step.
+struct EntryDiff {
+  FieldMask mask{0};
+  std::int64_t x{0};
+  std::int64_t y{0};
+  std::int64_t vx{0};
+  std::int64_t vy{0};
+};
+
 /// The entity set one link sees, in strictly ascending id order: encode
 /// order and equality checks are deterministic, and the codec finds each
 /// entry's baseline entry with one merge walk.
@@ -149,18 +161,20 @@ class SnapshotCodec {
   /// receivers hold.
   void quantize(EntitySnapshot& snapshot) const;
 
-  /// Mask of fields (within `allowed`) whose encoded value differs between
-  /// `base` and `now`. Scaled fields compare on the lattice; appData is
-  /// compared only when `allowed` includes it.
-  [[nodiscard]] FieldMask changedFields(const EntitySnapshot& base, const EntitySnapshot& now,
-                                        FieldMask allowed) const;
+  /// Compares `now` with its baseline entry `base` over the fields in
+  /// `allowed`. Scaled fields compare on the lattice, and their steps are
+  /// what writeEntry sends; appData is compared only when `allowed`
+  /// includes it.
+  [[nodiscard]] EntryDiff diff(const EntitySnapshot& base, const EntitySnapshot& now,
+                               FieldMask allowed) const;
 
-  /// Writes one delta entry: mask, then the masked fields in schema order.
-  /// The entry's id is written by the caller (BaselineSender gap-encodes
-  /// ascending ids). `base` is the baseline entry (nullptr = implicit
-  /// default, used by keyframes and spawns).
+  /// Writes one delta entry: `diff.mask`, then the masked fields in schema
+  /// order, scaled ones as their `diff` steps. The entry's id is written by
+  /// the caller (BaselineSender gap-encodes ascending ids). `base` is the
+  /// baseline entry (nullptr = implicit default, used by keyframes and
+  /// spawns).
   void writeEntry(ser::ByteWriter& writer, const EntitySnapshot* base, const EntitySnapshot& now,
-                  FieldMask mask) const;
+                  const EntryDiff& diff) const;
 
   /// Reads one delta entry for `id` (already decoded by the caller) into
   /// `out`: `base` (nullptr = implicit default) with the masked fields

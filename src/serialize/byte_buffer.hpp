@@ -138,6 +138,12 @@ class ByteReader {
   std::uint64_t readVarU64();
   std::int64_t readVarI64();
 
+  /// Steps over `n` bytes without reading them, bounds-checked like a read.
+  void skip(std::size_t n) {
+    require(n);
+    offset_ += n;
+  }
+
   std::vector<std::uint8_t> readBytes();
   /// Length-prefixed byte string as a view into the input (no copy).
   std::span<const std::uint8_t> readByteSpan();

@@ -1,7 +1,8 @@
 #include "sim/cpu.hpp"
 
 #include <algorithm>
-#include <cmath>
+
+#include "common/math.hpp"
 
 namespace roia::sim {
 
@@ -17,12 +18,11 @@ SimDuration CpuCostModel::charge(double units) {
         std::clamp(noise_.normal(1.0, config_.noiseAmplitude), 0.2, 3.0);
     scaled *= factor;
   }
-  return SimDuration::microseconds(static_cast<std::int64_t>(std::llround(std::max(0.0, scaled))));
+  return SimDuration::microseconds(roundHalfAway(std::max(0.0, scaled)));
 }
 
 SimDuration CpuCostModel::chargeExact(double units) const {
-  return SimDuration::microseconds(
-      static_cast<std::int64_t>(std::llround(std::max(0.0, units / config_.speedFactor))));
+  return SimDuration::microseconds(roundHalfAway(std::max(0.0, units / config_.speedFactor)));
 }
 
 CpuAccount::CpuAccount(SimDuration window) : window_(window) {}

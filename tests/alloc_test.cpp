@@ -8,9 +8,9 @@
 // buffers) every round must run without a single heap allocation, on a
 // client link and on a replica link.
 //
-// The event queue at a steady depth of pending events, and the full-codec
-// receive path of a bot (frame decode, then the update's ids), must not
-// allocate either once warmed up.
+// The event queue at a steady depth of pending events, the full-codec
+// receive path of a bot (frame decode, then the update's ids), and a tick
+// of grid interest queries must not allocate either once warmed up.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,9 +19,12 @@
 #include <new>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "game/bots.hpp"
+#include "game/interest.hpp"
 #include "game/state_update.hpp"
 #include "rtf/snapshot_codec.hpp"
+#include "rtf/world.hpp"
 #include "serialize/byte_buffer.hpp"
 #include "sim/event_queue.hpp"
 
@@ -227,6 +230,58 @@ TEST(AllocationTest, FullCodecReceivePathAllocatesNothing) {
   std::size_t expected = 0;
   for (std::size_t r = 0; r < 100; ++r) expected += sizes[r % sizes.size()];
   EXPECT_EQ(seen, expected);
+  EXPECT_EQ(allocations, 0u);
+}
+
+// A grid-interest tick: prepare, then one query per entity, over a world
+// where a fifth of the entities walk 15 units a round, four rounds one
+// way and four back, some of them across cell edges (prepare relocates
+// them). Positions are whole numbers plus a half, so the walk returns to
+// exactly the same world every 8 rounds, and the warm-up covers one period.
+TEST(AllocationTest, GridQuerySteadyStateAllocatesNothing) {
+  constexpr std::uint64_t kEntities = 300;
+  World world(ZoneId{1});
+  Rng rng(3);
+  for (std::uint64_t id = 1; id <= kEntities; ++id) {
+    EntityRecord e;
+    e.id = EntityId{id};
+    e.owner = ServerId{1};
+    e.client = ClientId{id};
+    e.position = {static_cast<double>(rng.uniformInt(0, 1000)) + 0.5,
+                  static_cast<double>(rng.uniformInt(0, 1000)) + 0.5};
+    world.upsert(e);
+  }
+  // The session's geometry: radius 220 over cells of 110.
+  game::GridInterest grid(110.0);
+  sim::CpuCostModel cpu;
+  CostMeter meter(cpu);
+  TickProbes probes;
+  meter.beginTick(probes);
+  std::vector<std::uint32_t> visible;
+  std::size_t seen = 0;
+  std::uint64_t tick = 0;
+  auto round = [&] {
+    const double step = (tick / 4) % 2 == 0 ? 15.0 : -15.0;
+    ++tick;
+    for (std::uint64_t id = 5; id <= kEntities; id += 5) {
+      world.find(EntityId{id})->position.x += step;
+    }
+    grid.prepare(world, meter);
+    world.forEach([&](ConstEntityRef viewer) {
+      grid.query(world, viewer, 220.0, meter, visible);
+      seen += visible.size();
+    });
+  };
+
+  for (int i = 0; i < 8; ++i) round();
+  seen = 0;
+  std::size_t allocations = 0;
+  {
+    const AllocationScope scope;
+    for (int i = 0; i < 100; ++i) round();
+    allocations = scope.count();
+  }
+  EXPECT_GT(seen, 100u * kEntities);
   EXPECT_EQ(allocations, 0u);
 }
 

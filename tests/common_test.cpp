@@ -2,7 +2,10 @@
 // deterministic RNG, statistics accumulators and math helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -312,6 +315,51 @@ TEST(MathTest, LerpAndApprox) {
   EXPECT_DOUBLE_EQ(lerp(0.0, 10.0, 0.25), 2.5);
   EXPECT_TRUE(approxEqual(1.0, 1.0 + 1e-12));
   EXPECT_FALSE(approxEqual(1.0, 1.1));
+}
+
+TEST(MathTest, RoundHalfAwayEqualsLlround) {
+  using Limits = std::numeric_limits<double>;
+  // Ties, the largest double below 0.5, signed zero, the smallest
+  // subnormal, the edge of the integer-only range (2^52), the fallback
+  // threshold (2^62), the end of int64 (2^63) and the specials.
+  std::vector<double> edges{0.5, 1.5, 2.5, 0.49999999999999994, 0.0, Limits::denorm_min(),
+                            Limits::infinity(), Limits::quiet_NaN()};
+  for (const double p : {0x1p52, 0x1p62, 0x1p63}) {
+    for (const double v : {p - 0.5, p, p + 0.5, std::nextafter(p, 0.0),
+                           std::nextafter(p, Limits::infinity())}) {
+      edges.push_back(v);
+    }
+  }
+  const std::size_t positives = edges.size();
+  for (std::size_t i = 0; i < positives; ++i) edges.push_back(-edges[i]);
+  for (const double x : edges) {
+    EXPECT_EQ(roundHalfAway(x), std::llround(x)) << "x=" << x;
+  }
+
+  // A million finite doubles: raw bit patterns (every exponent), values of
+  // every magnitude up to past 2^63, and half-integers with their
+  // neighbours, where truncation and rounding part ways.
+  Rng rng(7);
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  double firstMismatch = 0.0;
+  const auto check = [&](double x) {
+    if (!std::isfinite(x)) return;
+    ++checked;
+    if (roundHalfAway(x) != std::llround(x) && mismatches++ == 0) firstMismatch = x;
+  };
+  while (checked < 1'000'000) {
+    check(std::bit_cast<double>(rng.next()));
+    const double mantissa = 1.0 + static_cast<double>(rng.next() >> 12) * 0x1p-52;
+    const double magnitude = std::ldexp(mantissa, static_cast<int>(rng.uniformInt(0, 130)) - 66);
+    check(rng.chance(0.5) ? magnitude : -magnitude);
+    const double half = static_cast<double>(rng.next() >> (11 + rng.uniformInt(0, 52))) + 0.5;
+    for (const double v : {half, std::nextafter(half, 0.0), std::nextafter(half, 0x1p60)}) {
+      check(v);
+      check(-v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch at x=" << firstMismatch;
 }
 
 }  // namespace

@@ -125,12 +125,12 @@ TEST(SnapshotCodecTest, DeltaEntryRoundTripAgainstBaseline) {
   now.version += 3;
   now = quantized(codec, now);
 
-  const FieldMask mask = codec.changedFields(base, now, kAllFields);
-  EXPECT_EQ(mask, fieldBit(SnapshotField::kX) | fieldBit(SnapshotField::kHealth) |
-                      fieldBit(SnapshotField::kVersion));
+  const EntryDiff diff = codec.diff(base, now, kAllFields);
+  EXPECT_EQ(diff.mask, fieldBit(SnapshotField::kX) | fieldBit(SnapshotField::kHealth) |
+                           fieldBit(SnapshotField::kVersion));
 
   ser::ByteWriter writer;
-  codec.writeEntry(writer, &base, now, mask);
+  codec.writeEntry(writer, &base, now, diff);
   const std::vector<std::uint8_t> bytes = std::move(writer).take();
 
   ser::ByteReader reader(bytes);
@@ -144,10 +144,10 @@ TEST(SnapshotCodecTest, DeltaEntryFromImplicitDefaultBaseline) {
   const SnapshotCodec codec{ReplicationProfile{}};
   const EntitySnapshot now = quantized(codec, sampleSnapshot());
   const EntitySnapshot base{};  // keyframe / spawn: implicit default
-  const FieldMask mask = codec.changedFields(base, now, kAllFields);
+  const EntryDiff diff = codec.diff(base, now, kAllFields);
 
   ser::ByteWriter writer;
-  codec.writeEntry(writer, nullptr, now, mask);
+  codec.writeEntry(writer, nullptr, now, diff);
   const std::vector<std::uint8_t> bytes = std::move(writer).take();
 
   ser::ByteReader reader(bytes);
@@ -195,10 +195,10 @@ TEST(SnapshotCodecTest, ChangedFieldsComparesOnTheLattice) {
   EntitySnapshot base = quantized(codec, sampleSnapshot());
   EntitySnapshot below = base;
   below.x += 0.01f;  // far less than half a 1/16 lattice step
-  EXPECT_EQ(codec.changedFields(base, below, kAllFields), 0);
+  EXPECT_EQ(codec.diff(base, below, kAllFields).mask, 0);
   EntitySnapshot above = base;
   above.x += 0.2f;  // more than one lattice step
-  EXPECT_EQ(codec.changedFields(base, above, kAllFields), fieldBit(SnapshotField::kX));
+  EXPECT_EQ(codec.diff(base, above, kAllFields).mask, fieldBit(SnapshotField::kX));
 }
 
 // --- baseline sender/receiver --------------------------------------------

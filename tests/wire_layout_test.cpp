@@ -83,8 +83,10 @@ TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {
     base.vy = -0.5f;
     base.version = 10;
     const rtf::EntitySnapshot now = entity(42);  // on both lattices
+    rtf::EntryDiff diff = codec.diff(base, now, rtf::kAllFields);
+    diff.mask = rtf::kAllFields;  // every field on the wire, changed or not
     ser::ByteWriter writer;
-    codec.writeEntry(writer, &base, now, rtf::kAllFields);
+    codec.writeEntry(writer, &base, now, diff);
     EXPECT_EQ(hex(writer.bytes()), "ff07010307f405a001101b0000af421203deadbe");
     ser::ByteReader reader(writer.bytes());
     rtf::EntitySnapshot decoded;
