@@ -123,9 +123,9 @@ void BM_DeltaEncodeView(benchmark::State& state) {
   for (auto _ : state) {
     moveFifth(view, ++tick);
     out.clear();
-    const auto result = sender.encodeView(tick, view, {}, out);
+    const bool keyframe = sender.encodeView(tick, view, {}, out);
     sender.onAck(tick);
-    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(keyframe);
     benchmark::DoNotOptimize(out.bytes().data());
     benchmark::ClobberMemory();
   }

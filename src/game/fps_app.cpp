@@ -10,28 +10,13 @@
 #include "serialize/crc32.hpp"
 
 namespace roia::game {
-namespace {
-
-InterestCosts interestCostsFrom(const FpsConfig& config) {
-  InterestCosts costs;
-  costs.pairTestCost = config.aoiPerEntityCost;
-  costs.subscribeScanCost = config.aoiSubscribeScanCost;
-  costs.rebuildPerEntityCost = config.aoiRebuildPerEntityCost;
-  costs.sweepPerEntityCost = config.aoiSweepPerEntityCost;
-  costs.cellVisitCost = config.aoiCellVisitCost;
-  costs.candidateTestCost = config.aoiCandidateTestCost;
-  return costs;
-}
-
-}  // namespace
 
 std::unique_ptr<InterestPolicy> makeInterestPolicy(const FpsConfig& config) {
-  const InterestCosts costs = interestCostsFrom(config);
   if (config.interestPolicy == InterestPolicyKind::kGrid) {
     const double cell = config.gridCellSize > 0.0 ? config.gridCellSize : config.aoiRadius * 0.5;
-    return std::make_unique<GridInterest>(cell, costs);
+    return std::make_unique<GridInterest>(cell, config.interestCosts);
   }
-  return std::make_unique<EuclideanInterest>(costs);
+  return std::make_unique<EuclideanInterest>(config.interestCosts);
 }
 
 void applyGridInterestProfile(FpsConfig& config) {

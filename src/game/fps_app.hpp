@@ -68,21 +68,13 @@ struct FpsConfig {
   double fwdApplyCost{1.8};
   double npcBaseCost{2.0};
   double npcScanPerEntityCost{0.02};
-  /// Per candidate entity tested by the Euclidean Distance Algorithm.
-  double aoiPerEntityCost{0.45};
-  /// Per update-list entry scanned during a duplicate check (quadratic driver).
-  double aoiSubscribeScanCost{0.011};
-  /// Grid: indexing one entity on a full rebuild / per relocated entity.
-  double aoiRebuildPerEntityCost{0.08};
-  /// Grid: cell-change detection per entity in the per-tick sweep.
-  double aoiSweepPerEntityCost{0.004};
-  /// Grid: visiting one cell during a query.
-  double aoiCellVisitCost{0.05};
-  /// Grid: distance test per candidate pulled from a visited cell. Far
-  /// cheaper than aoiPerEntityCost: candidates sit contiguously in the CSR
-  /// entry array and the test is a branch-free compare over the SoA
-  /// position columns, where the Euclidean scan walks every record.
-  double aoiCandidateTestCost{0.002};
+  /// The interest-management costs, in InterestCosts field order: pair
+  /// test, subscribe scan, rebuild, sweep, cell visit, candidate test. The
+  /// grid's candidate test (0.002) is far cheaper than the Euclidean pair
+  /// test (0.45): candidates sit contiguously in the CSR entry array and
+  /// the test is a branch-free compare over the SoA position columns, where
+  /// the Euclidean scan walks every record.
+  InterestCosts interestCosts{0.45, 0.011, 0.08, 0.004, 0.05, 0.002};
   /// Per visible entity gathered into a state update.
   double suGatherPerEntityCost{1.0};
   /// Shadow maintenance: fixed part per snapshot...
@@ -106,8 +98,8 @@ std::unique_ptr<InterestPolicy> makeInterestPolicy(const FpsConfig& config);
 /// encoder, so the per-entity gather constant drops with them (0.12 vs 1.0,
 /// the ~8x ratio observed between the SoA and seed AOI+gather
 /// micro-benchmarks). All other constants are unchanged — the grid's own
-/// costs (rebuild/sweep/cell-visit/candidate-test) are separate knobs
-/// already in the config.
+/// costs (rebuild/sweep/cell-visit/candidate-test) are already in
+/// `config.interestCosts`.
 void applyGridInterestProfile(FpsConfig& config);
 
 class FpsApplication final : public rtf::Application {

@@ -166,21 +166,26 @@ RetainedView* findLive(std::vector<RetainedView>& slots, std::uint64_t tick) {
   return nullptr;
 }
 
-/// Makes `staging` the live view of `tick`: it replaces that tick's view if
-/// one is live, else takes over a dead slot (a new one only when none is
-/// dead). `staging` gets the slot's previous buffer back for the next view.
-RetainedView& retain(std::vector<RetainedView>& slots, std::uint64_t tick,
-                     SnapshotView& staging) {
-  RetainedView* slot = findLive(slots, tick);
-  if (slot == nullptr) {
-    auto dead = std::find_if(slots.begin(), slots.end(),
-                             [](const RetainedView& s) { return !s.live; });
-    slot = dead != slots.end() ? &*dead : &slots.emplace_back();
+/// A dead slot for the next view, which takes over its buffer (a new slot
+/// only when none is dead). The caller marks it live once the view is
+/// complete.
+RetainedView& deadSlot(std::vector<RetainedView>& slots) {
+  const auto dead = std::find_if(slots.begin(), slots.end(),
+                                 [](const RetainedView& slot) { return !slot.live; });
+  return dead != slots.end() ? *dead : slots.emplace_back();
+}
+
+/// The one retention rule of both link ends. A sender diffs only against
+/// an acked tick >= tick - W (W = baselineAckWindow), so once `newest` is
+/// stored no later frame can name a view older than newest - W (one view
+/// of slack), nor one older than `floor` (the sender's acked tick): their
+/// slots die.
+void forgetOld(std::vector<RetainedView>& slots, std::uint64_t newest, std::uint64_t window,
+               std::uint64_t floor) {
+  const std::uint64_t oldest = std::max(newest - std::min(newest, window), floor);
+  for (RetainedView& slot : slots) {
+    if (slot.tick < oldest) slot.live = false;
   }
-  slot->tick = tick;
-  slot->live = true;
-  slot->view.swap(staging);
-  return *slot;
 }
 
 }  // namespace
@@ -267,18 +272,6 @@ StateUpdateMsg SnapshotCodec::decodeStateUpdate(const ser::Frame& frame) {
   return msg;
 }
 
-// roia-hot
-void SnapshotCodec::quantize(EntitySnapshot& s) const {
-  if (profile_.positionScale > 0.0) {
-    s.x = dequant(quant(s.x, profile_.positionScale), profile_.positionScale);
-    s.y = dequant(quant(s.y, profile_.positionScale), profile_.positionScale);
-  }
-  if (profile_.velocityScale > 0.0) {
-    s.vx = dequant(quant(s.vx, profile_.velocityScale), profile_.velocityScale);
-    s.vy = dequant(quant(s.vy, profile_.velocityScale), profile_.velocityScale);
-  }
-}
-
 EntryDiff SnapshotCodec::diff(const EntitySnapshot& base, const EntitySnapshot& now,
                               FieldMask allowed) const {
   // Fields outside `allowed` are never compared: a client link skips the
@@ -328,20 +321,16 @@ void SnapshotCodec::readEntry(ser::ByteReader& reader, EntityId id, const Entity
 }
 
 // roia-hot
-BaselineSender::EncodeResult BaselineSender::encodeView(std::uint64_t tick,
-                                                        std::span<const EntitySnapshot> view,
-                                                        std::span<const EntityId> removed,
-                                                        ser::ByteWriter& out) {
-  const ReplicationProfile& profile = codec_->profile();
-  staging_.resize(view.size());
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    if (i > 0 && view[i].id.value <= view[i - 1].id.value) {
-      throw std::invalid_argument("encodeView: view ids must be strictly ascending");
-    }
-    copyEntry(staging_[i], view[i]);
-    codec_->quantize(staging_[i]);
+bool BaselineSender::encodeView(std::uint64_t tick, std::span<const EntitySnapshot> view,
+                                std::span<const EntityId> removed, ser::ByteWriter& out) {
+  const auto notAscending = [](const EntitySnapshot& a, const EntitySnapshot& b) {
+    return a.id.value >= b.id.value;
+  };
+  if (std::adjacent_find(view.begin(), view.end(), notAscending) != view.end()) {
+    throw std::invalid_argument("encodeView: view ids must be strictly ascending");
   }
 
+  const ReplicationProfile& profile = codec_->profile();
   const RetainedView* acked = hasAcked_ ? findLive(sent_, ackedTick_) : nullptr;
   const bool baselineUsable = acked != nullptr && tick >= ackedTick_ &&
                               tick - ackedTick_ <= profile.baselineAckWindow;
@@ -361,10 +350,10 @@ BaselineSender::EncodeResult BaselineSender::encodeView(std::uint64_t tick,
   // the first absolute, the rest as the (positive) difference from the
   // previous entry — one byte for dense id ranges. The baseline ascends
   // too, so one merge walk finds every entry's base.
-  out.writeVarU64(staging_.size());
+  out.writeVarU64(view.size());
   std::uint64_t prevId = 0;
   std::size_t cursor = 0;
-  for (const EntitySnapshot& snap : staging_) {
+  for (const EntitySnapshot& snap : view) {
     out.writeVarU64(snap.id.value - prevId);
     prevId = snap.id.value;
     const EntitySnapshot* base = seek(baseline, cursor, snap.id);
@@ -381,39 +370,28 @@ BaselineSender::EncodeResult BaselineSender::encodeView(std::uint64_t tick,
     prevId = id;
   }
 
-  const EncodeResult result{keyframe, staging_.size()};
   if (keyframe) lastKeyframeTick_ = tick;
   sentAny_ = true;
-  retain(sent_, tick, staging_);
-
-  // Retained views are bounded: keep enough history to cover acks that are
-  // still in flight, evicting the oldest view but never the acked baseline.
-  const std::size_t cap = static_cast<std::size_t>(2 * profile.baselineAckWindow + 2);
-  std::size_t live = 0;
-  for (const RetainedView& slot : sent_) live += slot.live ? 1 : 0;
-  for (; live > cap; --live) {
-    RetainedView* oldest = nullptr;
-    for (RetainedView& slot : sent_) {
-      if (!slot.live || (hasAcked_ && slot.tick == ackedTick_)) continue;
-      if (oldest == nullptr || slot.tick < oldest->tick) oldest = &slot;
-    }
-    if (oldest == nullptr) break;
-    oldest->live = false;
-  }
-  return result;
+  // The view is retained as sent: diff snaps both sides onto the lattice,
+  // so a raw baseline yields the steps its lattice image would.
+  forgetOld(sent_, tick, profile.baselineAckWindow, ackedTick_);
+  RetainedView* slot = findLive(sent_, tick);  // a re-encode replaces its tick's view
+  if (slot == nullptr) slot = &deadSlot(sent_);
+  slot->view.resize(view.size());
+  for (std::size_t i = 0; i < view.size(); ++i) copyEntry(slot->view[i], view[i]);
+  slot->tick = tick;
+  slot->live = true;
+  return keyframe;
 }
 
 void BaselineSender::onAck(std::uint64_t tick) {
-  // Acks for ticks we never sent (stale acks from a previous incarnation of
-  // this link after re-homing or crash recovery) must not poison the
-  // baseline selection.
+  // Acks for ticks we do not hold (stale acks from a previous incarnation
+  // of this link after re-homing or crash recovery, or acks for views the
+  // window already dropped) must not poison the baseline selection.
   if (findLive(sent_, tick) == nullptr) return;
   if (hasAcked_ && tick <= ackedTick_) return;
   ackedTick_ = tick;
   hasAcked_ = true;
-  for (RetainedView& slot : sent_) {
-    if (slot.tick < tick) slot.live = false;
-  }
 }
 
 // roia-hot
@@ -425,6 +403,9 @@ std::optional<BaselineReceiver::DecodedView> BaselineReceiver::decodeView(
   const std::uint64_t tick = reader.readVarU64();
   if (hasLatest_ && tick <= latest_) return std::nullopt;
 
+  // Decoding into a dead slot, a frame that fails to parse leaves every
+  // retained view as it was.
+  RetainedView& slot = deadSlot(views_);
   std::span<const EntitySnapshot> baseline;
   if (!keyframe) {
     const RetainedView* base = findLive(views_, reader.readVarU64());
@@ -438,7 +419,8 @@ std::optional<BaselineReceiver::DecodedView> BaselineReceiver::decodeView(
   // Every entry occupies multiple bytes; a count beyond the remaining
   // payload is malformed (and must not drive a huge allocation).
   if (count > reader.remaining()) throw ser::DecodeError("implausible entry count");
-  staging_.resize(count);
+  SnapshotView& view = slot.view;
+  view.resize(count);
   std::uint64_t prevId = 0;
   std::size_t cursor = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -450,29 +432,29 @@ std::optional<BaselineReceiver::DecodedView> BaselineReceiver::decodeView(
     }
     const EntityId id{prevId + gap};
     prevId = id.value;
-    codec_->readEntry(reader, id, seek(baseline, cursor, id), staging_[i]);
+    codec_->readEntry(reader, id, seek(baseline, cursor, id), view[i]);
   }
   const std::uint64_t removedCount = reader.readVarU64();
   if (removedCount > reader.remaining()) throw ser::DecodeError("implausible removed count");
   removed_.clear();
   prevId = 0;
   for (std::uint64_t i = 0; i < removedCount; ++i) {
-    prevId += reader.readVarU64();
+    const std::uint64_t gap = reader.readVarU64();
+    // Removed ids ascend too; a zero gap repeats a removal (the sender
+    // sorts them but does not dedupe them), a wrapping one goes backwards.
+    if (gap > std::numeric_limits<std::uint64_t>::max() - prevId) {
+      throw ser::DecodeError("non-ascending removed id");
+    }
+    prevId += gap;
     removed_.push_back(EntityId{prevId});
   }
 
   latest_ = tick;
   hasLatest_ = true;
-  // A sender diffs only against an acked tick >= its tick - W, and frames
-  // at or below latest_ are rejected above, so views older than latest_ - W
-  // can never be named again. Dropping them first lets the new view reuse
-  // their slot.
-  const std::uint64_t window = codec_->profile().baselineAckWindow;
-  for (RetainedView& slot : views_) {
-    if (slot.tick + window < latest_) slot.live = false;
-  }
-  const RetainedView& stored = retain(views_, tick, staging_);
-  return DecodedView{tick, keyframe, stored.view, removed_};
+  forgetOld(views_, tick, codec_->profile().baselineAckWindow, 0);
+  slot.tick = tick;
+  slot.live = true;
+  return DecodedView{tick, keyframe, view, removed_};
 }
 
 void BaselineReceiver::reset() {

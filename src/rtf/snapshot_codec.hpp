@@ -155,16 +155,13 @@ class SnapshotCodec {
 
   // --- delta building blocks (profile-dependent) ---
 
-  /// Snaps x/y (positionScale) and vx/vy (velocityScale) onto their
-  /// fixed-point lattices in place; scales <= 0 leave the field exact.
-  /// Senders quantize views before diffing so baselines match what
-  /// receivers hold.
-  void quantize(EntitySnapshot& snapshot) const;
-
   /// Compares `now` with its baseline entry `base` over the fields in
-  /// `allowed`. Scaled fields compare on the lattice, and their steps are
-  /// what writeEntry sends; appData is compared only when `allowed`
-  /// includes it.
+  /// `allowed`. Scaled fields (x/y at positionScale, vx/vy at
+  /// velocityScale; a scale <= 0 keeps the field exact) compare on their
+  /// fixed-point lattices, and their steps are what writeEntry sends;
+  /// appData is compared only when `allowed` includes it. A raw value and
+  /// its lattice point give the same step while |value * scale| < 2^23, so
+  /// `base` may be either (DESIGN §16).
   [[nodiscard]] EntryDiff diff(const EntitySnapshot& base, const EntitySnapshot& now,
                                FieldMask allowed) const;
 
@@ -195,32 +192,29 @@ struct RetainedView {
   SnapshotView view;
 };
 
-/// Per-link delta sender: retains the quantized views it has sent, keyed by
-/// tick, and diffs each new view against the newest acked one. Falls back
-/// to keyframes when the ack stream stalls (baselineAckWindow) or on the
-/// periodic schedule (keyframeInterval).
+/// Per-link delta sender: retains the views it has sent, as the caller
+/// passed them (not snapped to the lattice), keyed by tick, and diffs each
+/// new view against the newest acked one. Falls back to keyframes when the
+/// ack stream stalls (baselineAckWindow) or on the periodic schedule
+/// (keyframeInterval).
 class BaselineSender {
  public:
   BaselineSender(const SnapshotCodec& codec, FieldMask fields)
       : codec_(&codec), fields_(fields) {}
 
-  struct EncodeResult {
-    bool keyframe{false};
-    std::size_t entities{0};
-  };
-
-  /// Encodes `view` for `tick` into `out` and retains its quantized copy
-  /// as a future baseline. `view` must be in strictly ascending id order;
-  /// otherwise this throws std::invalid_argument before writing anything.
-  /// `removed` lists ids that left the sender's responsibility entirely
-  /// (world removals, not view exits — receivers treat absence from the
-  /// view as "out of interest", not "gone").
-  EncodeResult encodeView(std::uint64_t tick, std::span<const EntitySnapshot> view,
-                          std::span<const EntityId> removed, ser::ByteWriter& out);
+  /// Encodes `view` for `tick` into `out`, retains a copy of it as a
+  /// future baseline, and returns whether the frame is a keyframe. `view`
+  /// must be in strictly ascending id order; otherwise this throws
+  /// std::invalid_argument before writing anything. `removed` lists ids
+  /// that left the sender's responsibility entirely (world removals, not
+  /// view exits — receivers treat absence from the view as "out of
+  /// interest", not "gone").
+  bool encodeView(std::uint64_t tick, std::span<const EntitySnapshot> view,
+                  std::span<const EntityId> removed, ser::ByteWriter& out);
 
   /// Acknowledges that the receiver holds the view of `tick`. Acks for
-  /// ticks this sender never sent (stale acks after re-homing or crash
-  /// recovery) are ignored.
+  /// ticks this sender does not hold (never sent, already forgotten, or
+  /// stale acks after re-homing or crash recovery) are ignored.
   void onAck(std::uint64_t tick);
 
   [[nodiscard]] bool hasAcked() const { return hasAcked_; }
@@ -228,13 +222,9 @@ class BaselineSender {
  private:
   const SnapshotCodec* codec_;
   FieldMask fields_;
-  /// At most 2W+3 slots (W = baselineAckWindow), at most 2W+2 of them
-  /// live; dead ones wait for reuse.
+  /// The views of ticks max(acked, newest - W) .. newest (W =
+  /// baselineAckWindow); dead slots wait for reuse.
   std::vector<RetainedView> sent_;
-  /// The view being encoded; swapped into a slot once its bytes are
-  /// written, so a re-encode of the acked tick still diffs against the old
-  /// view.
-  SnapshotView staging_;
   std::vector<std::uint64_t> removedIds_;
   std::uint64_t ackedTick_{0};
   bool hasAcked_{false};
@@ -248,7 +238,6 @@ class BaselineSender {
 /// once the ack window expires.
 class BaselineReceiver {
  public:
-  BaselineReceiver() = default;
   explicit BaselineReceiver(const SnapshotCodec& codec) : codec_(&codec) {}
 
   struct DecodedView {
@@ -261,7 +250,7 @@ class BaselineReceiver {
 
   /// Applies one view payload. Returns nullopt when the frame is not
   /// applicable (stale tick or unknown baseline); throws ser::DecodeError
-  /// on malformed bytes.
+  /// on malformed bytes, leaving the retained views as they were.
   std::optional<DecodedView> decodeView(std::span<const std::uint8_t> payload);
 
   /// Drops all baselines and the tick watermark (client re-homing, replica
@@ -272,12 +261,11 @@ class BaselineReceiver {
   [[nodiscard]] std::uint64_t latestTick() const { return latest_; }
 
  private:
-  const SnapshotCodec* codec_{nullptr};
+  const SnapshotCodec* codec_;
   /// The views of ticks latest-W .. latest (W = baselineAckWindow): every
-  /// delta that can still apply names one of them (DESIGN §16).
+  /// delta that can still apply names one of them (DESIGN §16). A frame
+  /// decodes into a dead slot, which turns live once the frame has parsed.
   std::vector<RetainedView> views_;
-  /// The view being decoded; swapped into a slot once it is complete.
-  SnapshotView staging_;
   std::vector<EntityId> removed_;
   std::uint64_t latest_{0};
   bool hasLatest_{false};

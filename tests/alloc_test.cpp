@@ -125,8 +125,9 @@ SnapshotView makeView(std::size_t entities, std::size_t appDataBytes) {
   return view;
 }
 
-// W = 1 keeps the warm-up at 3 rounds: a receiver retains W+1 views and a
-// staging view, so it owns W+2 view buffers, filled one per round.
+// W = 1 keeps the warm-up at 3 rounds: a receiver retains W+1 views and
+// decodes the next into one more slot, so it owns W+2 view buffers, filled
+// one per round.
 ReplicationProfile deltaProfile() {
   ReplicationProfile profile;
   profile.codec = ReplicationCodec::kDelta;

@@ -22,8 +22,7 @@ Checks:
     correct qualnames, hot flags, facts and call edges.
  6. The real tree (src/) is clean under ALL rules: exit 0, zero findings,
     and every `// roia-hot` annotation marks exactly one indexed function.
- 7. --format sarif emits valid SARIF 2.1.0 with one result per finding;
-    --changed-only exits cleanly.
+ 7. --format sarif emits valid SARIF 2.1.0 with one result per finding.
  8. --list-rules and the SARIF rule metadata name exactly the rule
     catalogue; selecting a retired rule or passing a retired flag is a
     usage error.
@@ -335,10 +334,6 @@ def check_output_modes(failures):
             failures.append(f"sarif: malformed location: {result}")
             break
 
-    proc = run_lint("--changed-only", "src/")
-    if proc.returncode not in (0, 1):
-        failures.append(f"--changed-only: unexpected exit {proc.returncode}\n{proc.stderr}")
-
 
 def check_rule_catalogue(failures):
     proc = run_lint("--list-rules")
@@ -350,7 +345,7 @@ def check_rule_catalogue(failures):
         if proc.returncode != 2:
             failures.append(f"--rules {retired}: expected usage error (exit 2), "
                             f"got {proc.returncode}")
-    for flag in (("--manifest", "m.json"), ("--write-manifest",)):
+    for flag in (("--manifest", "m.json"), ("--write-manifest",), ("--changed-only",)):
         proc = run_lint(*flag, "src/")
         if proc.returncode != 2:
             failures.append(f"{flag[0]}: expected usage error (exit 2), "

@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/math.hpp"
 #include "common/rng.hpp"
 #include "game/bots.hpp"
 #include "game/fps_app.hpp"
@@ -43,11 +44,41 @@ EntitySnapshot sampleSnapshot() {
   return s;
 }
 
-/// Copy of `s` snapped onto the codec's lattices.
+/// Reference lattice point of `v`: roundHalfAway(v * scale) / scale, or
+/// `v` itself when `scale` <= 0 (an exact field).
+float onLattice(float v, double scale) {
+  if (scale <= 0.0) return v;
+  return static_cast<float>(
+      static_cast<double>(roundHalfAway(static_cast<double>(v) * scale)) / scale);
+}
+
+/// Copy of `s` snapped onto the codec's lattices: what a receiver decodes
+/// for `s` sent raw.
 EntitySnapshot quantized(const SnapshotCodec& codec, EntitySnapshot s) {
-  codec.quantize(s);
+  const ReplicationProfile& profile = codec.profile();
+  s.x = onLattice(s.x, profile.positionScale);
+  s.y = onLattice(s.y, profile.positionScale);
+  s.vx = onLattice(s.vx, profile.velocityScale);
+  s.vy = onLattice(s.vy, profile.velocityScale);
   return s;
 }
+
+/// `s` written as a keyframe entry (against the implicit default) and read
+/// back through the codec.
+EntitySnapshot keyframeRoundTrip(const SnapshotCodec& codec, const EntitySnapshot& s) {
+  ser::ByteWriter writer;
+  codec.writeEntry(writer, nullptr, s, codec.diff(EntitySnapshot{}, s, kAllFields));
+  const std::vector<std::uint8_t> bytes = std::move(writer).take();
+  ser::ByteReader reader(bytes);
+  EntitySnapshot decoded;
+  codec.readEntry(reader, s.id, nullptr, decoded);
+  EXPECT_TRUE(reader.atEnd());
+  return decoded;
+}
+
+constexpr FieldMask kScaledFields =
+    fieldBit(SnapshotField::kX) | fieldBit(SnapshotField::kY) | fieldBit(SnapshotField::kVx) |
+    fieldBit(SnapshotField::kVy);
 
 void expectSnapshotEq(const EntitySnapshot& a, const EntitySnapshot& b) {
   EXPECT_EQ(a.id, b.id);
@@ -117,13 +148,13 @@ TEST(SnapshotCodecTest, SchemaCoversEveryFieldExactlyOnce) {
 
 TEST(SnapshotCodecTest, DeltaEntryRoundTripAgainstBaseline) {
   const SnapshotCodec codec{ReplicationProfile{}};
-  // Sender-side state is quantized before diffing, mirroring encodeView.
-  const EntitySnapshot base = quantized(codec, sampleSnapshot());
+  // The sender diffs raw state, as encodeView does; x is off the lattice.
+  EntitySnapshot base = sampleSnapshot();
+  base.x += 0.01f;
   EntitySnapshot now = base;
   now.x += 5.0f;
   now.health = 31.0f;
   now.version += 3;
-  now = quantized(codec, now);
 
   const EntryDiff diff = codec.diff(base, now, kAllFields);
   EXPECT_EQ(diff.mask, fieldBit(SnapshotField::kX) | fieldBit(SnapshotField::kHealth) |
@@ -133,16 +164,19 @@ TEST(SnapshotCodecTest, DeltaEntryRoundTripAgainstBaseline) {
   codec.writeEntry(writer, &base, now, diff);
   const std::vector<std::uint8_t> bytes = std::move(writer).take();
 
+  // The receiver holds the base's lattice image and decodes now's.
+  const EntitySnapshot held = quantized(codec, base);
   ser::ByteReader reader(bytes);
   EntitySnapshot decoded;
-  codec.readEntry(reader, base.id, &base, decoded);
-  expectSnapshotEq(decoded, now);
+  codec.readEntry(reader, base.id, &held, decoded);
+  expectSnapshotEq(decoded, quantized(codec, now));
   EXPECT_TRUE(reader.atEnd());
 }
 
 TEST(SnapshotCodecTest, DeltaEntryFromImplicitDefaultBaseline) {
   const SnapshotCodec codec{ReplicationProfile{}};
-  const EntitySnapshot now = quantized(codec, sampleSnapshot());
+  EntitySnapshot now = sampleSnapshot();
+  now.y -= 0.01f;  // off the lattice
   const EntitySnapshot base{};  // keyframe / spawn: implicit default
   const EntryDiff diff = codec.diff(base, now, kAllFields);
 
@@ -153,7 +187,7 @@ TEST(SnapshotCodecTest, DeltaEntryFromImplicitDefaultBaseline) {
   ser::ByteReader reader(bytes);
   EntitySnapshot decoded;
   codec.readEntry(reader, now.id, nullptr, decoded);
-  expectSnapshotEq(decoded, now);
+  expectSnapshotEq(decoded, quantized(codec, now));
 }
 
 TEST(SnapshotCodecTest, QuantizationErrorIsBoundedByHalfStep) {
@@ -171,12 +205,33 @@ TEST(SnapshotCodecTest, QuantizationErrorIsBoundedByHalfStep) {
       s.y = -v;
       s.vx = v * 0.25f;
       s.vy = -v * 0.25f;
-      const EntitySnapshot q = quantized(codec, s);
+      const EntitySnapshot q = keyframeRoundTrip(codec, s);
       EXPECT_LE(std::abs(static_cast<double>(q.x) - static_cast<double>(s.x)), bound)
           << "scale " << scale << " value " << v;
       EXPECT_LE(std::abs(static_cast<double>(q.y) - static_cast<double>(s.y)), bound);
       EXPECT_LE(std::abs(static_cast<double>(q.vx) - static_cast<double>(s.vx)), bound);
       EXPECT_LE(std::abs(static_cast<double>(q.vy) - static_cast<double>(s.vy)), bound);
+    }
+
+    // A sender keeps raw baselines and its receiver their lattice images,
+    // so both must sit on the same lattice step: a decoded value has no
+    // scaled bit in diff against its raw value, for |value * scale| up to
+    // 2^23 - 1. Ties (v * scale = k + 1/2) are drawn on purpose.
+    const double limit = 0x1p23 - 1.0;
+    Rng rng(0x1A771CE);
+    for (int i = 0; i < 4000; ++i) {
+      double scaled = i < 2 ? (i == 0 ? limit : -limit) : rng.uniform(-limit, limit);
+      if (i % 4 == 3) scaled = std::floor(scaled) + 0.5;
+      float v = static_cast<float>(scaled / scale);
+      if (std::abs(static_cast<double>(v) * scale) > limit) v = std::nextafter(v, 0.0f);
+      EntitySnapshot s;
+      s.x = v;
+      s.y = -v;
+      s.vx = v;
+      s.vy = -v;
+      const EntitySnapshot decoded = keyframeRoundTrip(codec, s);
+      EXPECT_EQ(codec.diff(decoded, s, kAllFields).mask & kScaledFields, 0)
+          << "scale " << scale << " value " << v;
     }
   }
 }
@@ -186,8 +241,9 @@ TEST(SnapshotCodecTest, NonPositiveScaleKeepsValuesExact) {
   profile.positionScale = 0.0;
   profile.velocityScale = 0.0;
   const SnapshotCodec codec{profile};
-  const EntitySnapshot s = sampleSnapshot();
-  expectSnapshotEq(quantized(codec, s), s);
+  EntitySnapshot s = sampleSnapshot();
+  s.x += 0.01f;  // off every lattice
+  expectSnapshotEq(keyframeRoundTrip(codec, s), s);
 }
 
 TEST(SnapshotCodecTest, ChangedFieldsComparesOnTheLattice) {
@@ -227,8 +283,8 @@ struct Link {
 };
 
 SnapshotView quantizedView(const SnapshotCodec& codec, const SnapshotView& view) {
-  SnapshotView out = view;
-  for (EntitySnapshot& snap : out) codec.quantize(snap);
+  SnapshotView out;
+  for (const EntitySnapshot& snap : view) out.push_back(quantized(codec, snap));
   return out;
 }
 
@@ -325,8 +381,7 @@ TEST(BaselineLinkTest, KeyframeResyncAfterAckLoss) {
   // ...then falls back to keyframes once the ack is older than the window.
   entry(view, 1).x += 1.0f;
   ser::ByteWriter out;
-  const auto result = link.sender.encodeView(6, view, {}, out);
-  EXPECT_TRUE(result.keyframe);
+  EXPECT_TRUE(link.sender.encodeView(6, view, {}, out));
 
   // The receiver lost every frame since tick 1, yet the keyframe applies
   // (no baseline needed) and fully resyncs the view.
@@ -366,7 +421,7 @@ TEST(BaselineLinkTest, AcksForNeverSentTicksAreIgnored) {
   EXPECT_FALSE(link.sender.hasAcked());
   SnapshotView view = makeView({1});
   ser::ByteWriter out;
-  EXPECT_TRUE(link.sender.encodeView(1, view, {}, out).keyframe);
+  EXPECT_TRUE(link.sender.encodeView(1, view, {}, out));
 }
 
 TEST(BaselineLinkTest, MalformedPayloadsThrowInsteadOfSmearing) {
@@ -399,6 +454,76 @@ TEST(BaselineLinkTest, MalformedPayloadsThrowInsteadOfSmearing) {
   wrap.writeVarU64(~std::uint64_t{0});  // 7 + gap wraps to id 6
   wrap.writeVarU64(0);
   EXPECT_THROW(link.receiver.decodeView(wrap.bytes()), ser::DecodeError);
+
+  // Removed ids ascend as well: a removed-id gap that wraps throws too.
+  ser::ByteWriter removedWrap;
+  removedWrap.writeU8(1);
+  removedWrap.writeVarU64(4);
+  removedWrap.writeVarU64(0);   // no entries
+  removedWrap.writeVarU64(2);   // two removed ids
+  removedWrap.writeVarU64(7);   // id 7
+  removedWrap.writeVarU64(~std::uint64_t{0});  // wraps to id 6
+  EXPECT_THROW(link.receiver.decodeView(removedWrap.bytes()), ser::DecodeError);
+
+  // A zero removed-id gap is legal: the sender sorts removals but does not
+  // dedupe them.
+  ser::ByteWriter repeated;
+  repeated.writeU8(1);
+  repeated.writeVarU64(5);
+  repeated.writeVarU64(0);
+  repeated.writeVarU64(2);
+  repeated.writeVarU64(7);
+  repeated.writeVarU64(0);  // id 7 again
+  const auto decoded = link.receiver.decodeView(repeated.bytes());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::vector<EntityId>(decoded->removed.begin(), decoded->removed.end()),
+            (std::vector<EntityId>{EntityId{7}, EntityId{7}}));
+}
+
+// A frame that throws part-way through its entries must leave the receiver
+// as it was: no tick watermark moved, no slot turned live, no view dropped.
+TEST(BaselineLinkTest, MalformedFrameLeavesBaselinesIntact) {
+  ReplicationProfile profile;
+  profile.baselineAckWindow = 4;
+  profile.keyframeInterval = 1000;  // periodic keyframes out of the way
+  Link link(profile);
+  SnapshotView view = makeView({1, 2});
+  ASSERT_TRUE(link.step(1, view).has_value());  // delivered + acked
+
+  // A delta at tick 9 against baseline 1: entry 1 moves, then entry 2
+  // repeats id 1 (a zero gap) and the decode throws.
+  ser::ByteWriter broken;
+  broken.writeU8(0);
+  broken.writeVarU64(9);
+  broken.writeVarU64(1);  // baseline tick
+  broken.writeVarU64(2);  // two entries
+  broken.writeVarU64(1);  // id 1
+  broken.writeVarU64(fieldBit(SnapshotField::kX));
+  broken.writeVarI64(40);  // x moves 40 lattice steps
+  broken.writeVarU64(0);  // zero gap: id 1 again
+  broken.writeVarU64(0);
+  broken.writeVarU64(0);  // no removals
+  EXPECT_THROW(link.receiver.decodeView(broken.bytes()), ser::DecodeError);
+  EXPECT_EQ(link.receiver.latestTick(), 1u);
+
+  // Tick 9 never turned live, so a delta naming it is skipped.
+  ser::ByteWriter onBroken;
+  onBroken.writeU8(0);
+  onBroken.writeVarU64(10);
+  onBroken.writeVarU64(9);  // baseline tick
+  onBroken.writeVarU64(0);
+  onBroken.writeVarU64(0);
+  EXPECT_FALSE(link.receiver.decodeView(onBroken.bytes()).has_value());
+
+  // Baseline 1 survived both frames: the next delta against it decodes to
+  // the lattice image of the view sent.
+  entry(view, 2).x += 7.3f;
+  ser::ByteWriter out;
+  ASSERT_FALSE(link.sender.encodeView(5, view, {}, out));
+  auto decoded = link.receiver.decodeView(out.bytes());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_FALSE(decoded->keyframe);
+  expectViewEq(decoded->view, quantizedView(link.codec, view));
 }
 
 TEST(BaselineLinkTest, NonAscendingViewsAreRejectedBeforeEncoding) {
@@ -408,7 +533,7 @@ TEST(BaselineLinkTest, NonAscendingViewsAreRejectedBeforeEncoding) {
   EXPECT_THROW(link.sender.encodeView(1, makeView({1, 3, 3}), {}, out), std::invalid_argument);
   EXPECT_EQ(out.size(), 0u);
   // Nothing was retained: the next view is still the link's first keyframe.
-  EXPECT_TRUE(link.sender.encodeView(2, makeView({1, 2}), {}, out).keyframe);
+  EXPECT_TRUE(link.sender.encodeView(2, makeView({1, 2}), {}, out));
 }
 
 // A sender diffs only against an acked tick >= tick - W, so the oldest
@@ -434,7 +559,7 @@ TEST(BaselineLinkTest, ReceiverKeepsTheOldestBaselineASenderMayName) {
 
   entry(view, 1).x += 1.0f;
   ser::ByteWriter out;
-  ASSERT_FALSE(link.sender.encodeView(kT, view, {}, out).keyframe);
+  ASSERT_FALSE(link.sender.encodeView(kT, view, {}, out));
   // Header: delta flag, tick, baseline tick (one varint byte each here).
   ASSERT_GE(out.size(), 3u);
   EXPECT_EQ(out.bytes()[2], oldest);
@@ -445,9 +570,11 @@ TEST(BaselineLinkTest, ReceiverKeepsTheOldestBaselineASenderMayName) {
 }
 
 // Seeded lossy link: frames and acks are dropped, acks arrive 0..W ticks
-// late and out of order, entities move, spawn and despawn. The receiver's
-// W+1-view window must never lose a baseline the sender names, and every
-// applied view must be exactly the quantized view that was sent.
+// late and out of order, entities move, spawn and despawn. Some ticks send
+// no frame at all (a shed observer's link skips them), and acks for those
+// never-sent ticks arrive too. The receiver's W+1-view window must never
+// lose a baseline the sender names, and every applied view must be exactly
+// the lattice image of the view that was sent.
 TEST(BaselineLinkTest, LossyLinkDecodesEveryFrameWhoseBaselineWasApplied) {
   ReplicationProfile profile;
   profile.baselineAckWindow = 4;
@@ -473,6 +600,10 @@ TEST(BaselineLinkTest, LossyLinkDecodesEveryFrameWhoseBaselineWasApplied) {
       link.sender.onAck(it->tick);
       it = acks.erase(it);
     }
+    if (rng.chance(0.1)) {  // tick skipped: no frame, yet an ack for it
+      acks.push_back({tick + rng.uniformInt(0, profile.baselineAckWindow), tick});
+      continue;
+    }
     for (EntitySnapshot& s : view) {
       if (!rng.chance(0.2)) continue;
       s.x += static_cast<float>(rng.uniform(-2.0, 2.0));
@@ -491,7 +622,7 @@ TEST(BaselineLinkTest, LossyLinkDecodesEveryFrameWhoseBaselineWasApplied) {
     }
 
     ser::ByteWriter out;
-    const bool keyframe = link.sender.encodeView(tick, view, removed, out).keyframe;
+    const bool keyframe = link.sender.encodeView(tick, view, removed, out);
     if (rng.chance(0.2)) continue;  // frame dropped
 
     bool baselineApplied = true;

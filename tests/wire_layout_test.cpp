@@ -204,7 +204,7 @@ TEST(WireLayoutTest, HandWrittenLayoutsMatchGoldenBytes) {
     for (const std::uint64_t id : {1, 2, 300}) view.push_back(entity(id));
 
     ser::ByteWriter keyframe;
-    EXPECT_TRUE(sender.encodeView(5, view, {}, keyframe).keyframe);
+    EXPECT_TRUE(sender.encodeView(5, view, {}, keyframe));
     // keyframe flag, tick, count; per entity the id gap, then a full entry.
     EXPECT_EQ(hex(keyframe.bytes()),
               "01" "05" "03"
@@ -224,7 +224,7 @@ TEST(WireLayoutTest, HandWrittenLayoutsMatchGoldenBytes) {
     view.pop_back();  // id 300
     const EntityId removed[] = {EntityId{300}};
     ser::ByteWriter delta;
-    EXPECT_FALSE(sender.encodeView(6, view, removed, delta).keyframe);
+    EXPECT_FALSE(sender.encodeView(6, view, removed, delta));
     // delta flag, tick, baseline tick, count; id 1 unchanged (mask 0); id 2
     // with x, health and version; then the removed ids.
     EXPECT_EQ(hex(delta.bytes()),

@@ -78,7 +78,6 @@ Typical invocations:
     python3 tools/lint/roia_lint.py src/
     python3 tools/lint/roia_lint.py --format json src/ | python3 -m json.tool
     python3 tools/lint/roia_lint.py --format sarif src/ > lint.sarif
-    python3 tools/lint/roia_lint.py --changed-only src/
     python3 tools/lint/roia_lint.py --list-rules
 """
 
@@ -760,22 +759,16 @@ def collect_files(paths):
     return files
 
 
-def lint_files(files, assume_core=False, graph_files=None):
-    """(findings, suppressed, suppression-debt table) over `files`.
-
-    `graph_files` (default: `files`) is the file set the whole-program
-    index covers; --changed-only passes the full tree here while linting
-    only the changed subset, so call-graph rules still see every edge but
-    only report into the subset.
-    """
+def lint_files(files, assume_core=False):
+    """(findings, suppressed, suppression-debt table) over `files`."""
     findings = []
     suppressed = []
     messages_pairs = []
     snapshot_pairs = []
     allows_by_file = {}
-    # One lexing pass: the index masks every file of the graph set, which
-    # always covers `files`, and the per-file rules reuse its text.
-    index = cpp_index.build_index(graph_files or files)
+    # One lexing pass: the index masks every file, and the per-file rules
+    # reuse its text.
+    index = cpp_index.build_index(files)
     audit_vocab, audit_registries = load_audit_vocabulary(files)
     for path in files:
         raw = index.raw[path]
@@ -844,15 +837,11 @@ def lint_files(files, assume_core=False, graph_files=None):
                                                      hpp_path, hpp_masked):
             (suppressed if is_suppressed(finding, allows) else findings).append(finding)
 
-    # Whole-program rules: the index spans the graph file set (the full
-    # tree even under --changed-only); report only into the linted subset.
-    core_files = {p for p in (graph_files or files)
+    # Whole-program rules: the index spans every linted file.
+    core_files = {p for p in files
                   if assume_core or path_subsystem(p) in CORE_DIRS}
-    linted = set(files)
     for finding in (rule_transitive_hot_alloc(index)
                     + rule_determinism_taint(index, core_files)):
-        if finding.file not in linted:
-            continue
         allows = allows_by_file.get(finding.file, {})
         (suppressed if is_suppressed(finding, allows) else findings).append(finding)
 
@@ -895,47 +884,6 @@ def sarif_report(findings):
     }
 
 
-def git_changed_files():
-    """Abspaths of files changed vs HEAD plus untracked files, or None."""
-    changed = set()
-    try:
-        top = subprocess.run(["git", "rev-parse", "--show-toplevel"],
-                             capture_output=True, text=True, timeout=10)
-        if top.returncode != 0:
-            return None
-        root = top.stdout.strip()
-        for cmd in (["git", "diff", "--name-only", "HEAD"],
-                    ["git", "ls-files", "--others", "--exclude-standard"]):
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=30, cwd=root)
-            if proc.returncode != 0:
-                return None
-            changed |= {os.path.abspath(os.path.join(root, line.strip()))
-                        for line in proc.stdout.splitlines() if line.strip()}
-    except Exception:
-        return None
-    return changed
-
-
-def changed_subset(files, index):
-    """Changed files + same-stem siblings + call-graph neighbor files."""
-    changed = git_changed_files()
-    if changed is None:
-        return files  # not a git checkout: fall back to the full set
-    by_abs = {os.path.abspath(p): p for p in files}
-    subset = {p for a, p in by_abs.items() if a in changed}
-    for path in list(subset):
-        stem = os.path.splitext(os.path.abspath(path))[0]
-        for a, p in by_abs.items():
-            if os.path.splitext(a)[0] == stem:
-                subset.add(p)
-        for fn in index.by_file.get(path, []):
-            for neighbor, _line in index.callees(fn) + index.callers(fn):
-                if neighbor.file in by_abs.values() or neighbor.file in files:
-                    subset.add(neighbor.file)
-    return [p for p in files if p in subset]
-
-
 def main():
     parser = argparse.ArgumentParser(
         description="project-invariant static analysis for the ROIA codebase")
@@ -949,10 +897,6 @@ def main():
     parser.add_argument("--assume-core", action="store_true",
                         help="treat every scanned file as deterministic-core "
                              "(used by the fixture self-test)")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="lint only files changed vs git HEAD (plus "
-                             "same-stem siblings and call-graph neighbors); "
-                             "the call graph still covers the full tree")
     args = parser.parse_args()
 
     if args.list_rules:
@@ -976,12 +920,7 @@ def main():
         print(f"ERROR: no such file or directory: {err}", file=sys.stderr)
         return 2
 
-    graph_files = files
-    if args.changed_only:
-        files = changed_subset(files, cpp_index.build_index(graph_files))
-
-    findings, suppressed, debt = lint_files(
-        files, assume_core=args.assume_core, graph_files=graph_files)
+    findings, suppressed, debt = lint_files(files, assume_core=args.assume_core)
     if selected is not None:
         findings = [f for f in findings if f.rule in selected]
         suppressed = [f for f in suppressed if f.rule in selected]
