@@ -25,8 +25,8 @@ namespace roia::benchharness {
 
 /// Owns the telemetry context of the one session a harness reports. When
 /// ROIA_TELEMETRY_DIR names a directory, context() hands that session an
-/// enabled obs::Telemetry and every sidecar is written there when the
-/// harness exits:
+/// obs::Telemetry and every sidecar is written there when the harness
+/// exits:
 ///   trace.json     Chrome/Perfetto trace-event JSON (simulated time)
 ///   metrics.jsonl  metrics registry snapshot
 ///   audit.jsonl    RMS decision audit log
@@ -53,8 +53,6 @@ class TelemetryScope {
       files_[i].open(dir_ / kFileNames[i]);
       if (!files_[i]) fail(dir_ / kFileNames[i], std::strerror(errno));
     }
-    telemetry_.tracer.setEnabled(true);
-    telemetry_.audit.setEnabled(true);
     obs::installDefaultObjectives(telemetry_.slo);
     if (const char* sample = std::getenv("ROIA_TRACE_SAMPLE")) {
       const long every = std::strtol(sample, nullptr, 10);

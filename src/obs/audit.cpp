@@ -6,11 +6,6 @@
 
 namespace roia::obs {
 
-void AuditLog::record(AuditRecord record) {
-  if (!enabled_) return;
-  records_.push_back(std::move(record));
-}
-
 std::string AuditLog::toJson(const AuditRecord& r) {
   std::string out = "{\"t_s\":";
   appendJsonNumber(out, r.at.asSeconds());
@@ -32,7 +27,7 @@ std::string AuditLog::toJson(const AuditRecord& r) {
   out += "},\"threshold\":";
   appendJsonString(out, r.threshold);
   out += ",\"action\":";
-  appendJsonString(out, r.action);
+  appendJsonString(out, auditEventName(r.action));
   out += ",\"migrations_ordered\":" + std::to_string(r.migrationsOrdered);
   out += ",\"rejected\":[";
   for (std::size_t i = 0; i < r.rejected.size(); ++i) {

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/events.hpp"
 
 namespace roia::obs {
 
@@ -35,9 +37,8 @@ struct AuditRecord {
   /// (l_max), "eq5:..." (migration budgets), "detector:..." (crash
   /// recovery), or "none".
   std::string threshold{"none"};
-  /// "add_replica", "substitute_server", "remove_server", "migrate_only",
-  /// "recover_crash" or "none".
-  std::string action{"none"};
+  /// The event recorded; exported under its auditEventName().
+  AuditEvent action{AuditEvent::kNone};
   std::size_t migrationsOrdered{0};
   /// Actions considered and not taken, each with its reason.
   std::vector<std::string> rejected;
@@ -46,10 +47,7 @@ struct AuditRecord {
 
 class AuditLog {
  public:
-  void setEnabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  void record(AuditRecord record);
+  void record(AuditRecord record) { records_.push_back(std::move(record)); }
 
   [[nodiscard]] const std::vector<AuditRecord>& records() const { return records_; }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
@@ -59,7 +57,6 @@ class AuditLog {
   [[nodiscard]] static std::string toJson(const AuditRecord& record);
 
  private:
-  bool enabled_{false};
   std::vector<AuditRecord> records_;
 };
 

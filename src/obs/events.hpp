@@ -1,38 +1,58 @@
-// roia-audit-event-registry — the single registry of audit event (action)
-// names. Every audit record emitted anywhere in the tree must take its
-// `action` from this vocabulary; the roia-lint `audit-vocabulary` rule
-// flags any emitted literal that is not registered here. Keeping the
-// vocabulary closed makes the audit log greppable and lets downstream
-// tooling (health_report.py, dashboards) switch on event names without
-// chasing free-form strings.
+// The closed vocabulary of audit events: every AuditRecord::action is one
+// AuditEvent, so an event that is not listed here does not compile. The
+// names below are the audit.jsonl contract: downstream tooling
+// (health_report.py, dashboards, CI checks) switches on them, and
+// AuditLogTest.EveryEventKeepsItsJsonlName pins each one.
 #pragma once
 
-namespace roia::obs::events {
+#include <cstdint>
 
-// RMS strategy actions (Eq.2/3/5 driven decisions).
-inline constexpr const char* kNone = "none";
-inline constexpr const char* kAddReplica = "add_replica";
-inline constexpr const char* kSubstituteServer = "substitute_server";
-inline constexpr const char* kRemoveServer = "remove_server";
-inline constexpr const char* kMigrateOnly = "migrate_only";
-inline constexpr const char* kZoneHandoff = "zone_handoff";
+namespace roia::obs {
 
-// Crash detection / preemption lifecycle.
-inline constexpr const char* kRecoverCrash = "recover_crash";
-inline constexpr const char* kGracefulDrain = "graceful_drain";
-inline constexpr const char* kDrainComplete = "drain_complete";
+enum class AuditEvent : std::uint8_t {
+  // RMS strategy actions (Eq.2/3/5 driven decisions).
+  kNone,
+  kAddReplica,
+  kSubstituteServer,
+  kRemoveServer,
+  kMigrateOnly,
+  kZoneHandoff,
+  // Crash detection / preemption lifecycle.
+  kRecoverCrash,
+  kGracefulDrain,
+  kDrainComplete,
+  // Cluster-edge admission control.
+  kAdmissionThrottle,
+  // Per-server overload (degradation ladder).
+  kDegradeFidelity,
+  kShedObservers,
+  kReadmitObservers,
+  // SLO engine and model-drift monitor.
+  kSloBreach,
+  kModelDrift,
+};
 
-// Cluster-edge admission control.
-inline constexpr const char* kAdmissionThrottle = "admission_throttle";
+/// The event's audit.jsonl name. No `default:` label, so -Wswitch names an
+/// event added without one.
+[[nodiscard]] constexpr const char* auditEventName(AuditEvent event) {
+  switch (event) {
+    case AuditEvent::kNone: return "none";
+    case AuditEvent::kAddReplica: return "add_replica";
+    case AuditEvent::kSubstituteServer: return "substitute_server";
+    case AuditEvent::kRemoveServer: return "remove_server";
+    case AuditEvent::kMigrateOnly: return "migrate_only";
+    case AuditEvent::kZoneHandoff: return "zone_handoff";
+    case AuditEvent::kRecoverCrash: return "recover_crash";
+    case AuditEvent::kGracefulDrain: return "graceful_drain";
+    case AuditEvent::kDrainComplete: return "drain_complete";
+    case AuditEvent::kAdmissionThrottle: return "admission_throttle";
+    case AuditEvent::kDegradeFidelity: return "degrade_fidelity";
+    case AuditEvent::kShedObservers: return "shed_observers";
+    case AuditEvent::kReadmitObservers: return "readmit_observers";
+    case AuditEvent::kSloBreach: return "slo_breach";
+    case AuditEvent::kModelDrift: return "model_drift";
+  }
+  return "?";
+}
 
-// Per-server overload (degradation ladder).
-inline constexpr const char* kDegradeFidelity = "degrade_fidelity";
-inline constexpr const char* kShedObservers = "shed_observers";
-inline constexpr const char* kReadmitObservers = "readmit_observers";
-
-// Observability v2: SLO engine, model-drift monitor, flight recorder.
-inline constexpr const char* kSloBreach = "slo_breach";
-inline constexpr const char* kModelDrift = "model_drift";
-inline constexpr const char* kFlightDump = "flight_dump";
-
-}  // namespace roia::obs::events
+}  // namespace roia::obs

@@ -26,39 +26,33 @@ void Tracer::push(TraceEvent event) {
 void Tracer::beginSpan(std::uint32_t tid, SimTime ts, std::string_view name,
                        std::string_view category,
                        std::vector<std::pair<std::string, std::string>> args) {
-  if (!enabled_) return;
   push(TraceEvent{'B', tid, ts.micros, 0, std::string(name), std::string(category),
                   std::move(args)});
 }
 
 void Tracer::endSpan(std::uint32_t tid, SimTime ts) {
-  if (!enabled_) return;
   push(TraceEvent{'E', tid, ts.micros, 0, {}, {}, {}});
 }
 
 void Tracer::completeSpan(std::uint32_t tid, SimTime begin, SimDuration duration,
                           std::string_view name, std::string_view category,
                           std::vector<std::pair<std::string, std::string>> args) {
-  if (!enabled_) return;
   beginSpan(tid, begin, name, category, std::move(args));
   endSpan(tid, begin + duration);
 }
 
 void Tracer::instant(std::uint32_t tid, SimTime ts, std::string_view name,
                      std::string_view category) {
-  if (!enabled_) return;
   push(TraceEvent{'i', tid, ts.micros, 0, std::string(name), std::string(category), {}});
 }
 
 void Tracer::flowStart(std::uint32_t tid, SimTime ts, std::uint64_t flowId, std::string_view name,
                        std::string_view category) {
-  if (!enabled_) return;
   push(TraceEvent{'s', tid, ts.micros, flowId, std::string(name), std::string(category), {}});
 }
 
 void Tracer::flowFinish(std::uint32_t tid, SimTime ts, std::uint64_t flowId, std::string_view name,
                         std::string_view category) {
-  if (!enabled_) return;
   push(TraceEvent{'f', tid, ts.micros, flowId, std::string(name), std::string(category), {}});
 }
 

@@ -4,9 +4,10 @@
 // Open the exported file at https://ui.perfetto.dev (or chrome://tracing);
 // each server and the RMS appear as their own named track.
 //
-// All record calls no-op when the tracer is disabled, so an attached but
-// disabled tracer costs one branch per call site. Timestamps are simulated
-// microseconds, which is exactly the unit the trace-event format expects.
+// Every call records: telemetry is off when a component holds no
+// obs::Telemetry context (a nullptr), not through a flag here. Timestamps
+// are simulated microseconds, which is exactly the unit the trace-event
+// format expects.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,6 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  void setEnabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   /// Caps stored events; once reached, further events are counted as
   /// dropped instead of recorded (exporters report the drop count).
   void setMaxEvents(std::size_t maxEvents) { maxEvents_ = maxEvents; }
@@ -73,7 +71,6 @@ class Tracer {
  private:
   void push(TraceEvent event);
 
-  bool enabled_{false};
   std::size_t maxEvents_{1500000};
   std::uint64_t dropped_{0};
   std::vector<TraceEvent> events_;

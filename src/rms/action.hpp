@@ -1,8 +1,6 @@
 // Typed RMS actions: everything a load-balancing strategy can order the
-// management plane to do, as one closed variant. The names returned by
-// actionName() are the audit-log vocabulary (stable JSONL contract):
-// "migrate_only", "add_replica", "substitute_server", "remove_server",
-// "zone_handoff".
+// management plane to do, as one closed variant. actionName() gives each
+// action's audit event (obs/events.hpp).
 #pragma once
 
 #include <cstddef>
@@ -45,15 +43,16 @@ struct ZoneHandoff {
 using Action = std::variant<UserMigration, ReplicationEnactment, ResourceSubstitution,
                             ResourceRemoval, ZoneHandoff>;
 
-[[nodiscard]] inline const char* actionName(const Action& action) {
+[[nodiscard]] inline obs::AuditEvent actionName(const Action& action) {
+  using obs::AuditEvent;
   struct Namer {
-    const char* operator()(const UserMigration&) const { return obs::events::kMigrateOnly; }
-    const char* operator()(const ReplicationEnactment&) const { return obs::events::kAddReplica; }
-    const char* operator()(const ResourceSubstitution&) const {
-      return obs::events::kSubstituteServer;
+    AuditEvent operator()(const UserMigration&) const { return AuditEvent::kMigrateOnly; }
+    AuditEvent operator()(const ReplicationEnactment&) const { return AuditEvent::kAddReplica; }
+    AuditEvent operator()(const ResourceSubstitution&) const {
+      return AuditEvent::kSubstituteServer;
     }
-    const char* operator()(const ResourceRemoval&) const { return obs::events::kRemoveServer; }
-    const char* operator()(const ZoneHandoff&) const { return obs::events::kZoneHandoff; }
+    AuditEvent operator()(const ResourceRemoval&) const { return AuditEvent::kRemoveServer; }
+    AuditEvent operator()(const ZoneHandoff&) const { return AuditEvent::kZoneHandoff; }
   };
   return std::visit(Namer{}, action);
 }

@@ -209,7 +209,7 @@ void RmsManager::processPreemptions(SimTime now, TimelinePoint& point) {
         audit.replicas = cluster_.zones().replicaCount(zone);
         audit.pendingStarts = pendingStarts_[zone];
         audit.threshold = "preemption:notice";
-        audit.action = obs::events::kGracefulDrain;
+        audit.action = obs::AuditEvent::kGracefulDrain;
         audit.rationale = "server " + std::to_string(preemption.server.value) +
                           " preempted; window=" + std::to_string(preemption.window.asMillis()) +
                           "ms replacement=" + (replacement ? "ordered" : "pool-exhausted");
@@ -258,7 +258,7 @@ void RmsManager::processPreemptions(SimTime now, TimelinePoint& point) {
           audit.replicas = cluster_.zones().replicaCount(zone);
           audit.pendingStarts = pendingStarts_[zone];
           audit.threshold = "preemption:deadline";
-          audit.action = obs::events::kDrainComplete;
+          audit.action = obs::AuditEvent::kDrainComplete;
           audit.rationale =
               "server " + std::to_string(victim.value) + " drained clean before reclaim";
           telemetry_->audit.record(std::move(audit));
@@ -285,7 +285,7 @@ void RmsManager::processPreemptions(SimTime now, TimelinePoint& point) {
           audit.replicas = cluster_.zones().replicaCount(zone);
           audit.pendingStarts = pendingStarts_[zone];
           audit.threshold = "preemption:deadline";
-          audit.action = obs::events::kRecoverCrash;
+          audit.action = obs::AuditEvent::kRecoverCrash;
           audit.rationale = "preemption window expired; rehomed=" +
                             std::to_string(report.clientsRehomed) +
                             " promoted=" + std::to_string(report.shadowsPromoted) +
@@ -390,7 +390,7 @@ void RmsManager::detectAndRecover(SimTime now, TimelinePoint& point) {
       audit.replicas = cluster_.zones().replicaCount(zone);
       audit.pendingStarts = pendingStarts_[zone];
       audit.threshold = "detector:missed_heartbeats";
-      audit.action = obs::events::kRecoverCrash;
+      audit.action = obs::AuditEvent::kRecoverCrash;
       audit.rationale = "server " + std::to_string(dead.value) +
                         " heartbeat-silent; rehomed=" + std::to_string(report.clientsRehomed) +
                         " promoted=" + std::to_string(report.shadowsPromoted) +
@@ -553,7 +553,7 @@ void RmsManager::recordRecoveryLatency(ZoneId zone, ServerId server, double e2eM
   audit.strategy = "slo-engine";
   audit.replicas = cluster_.zones().replicaCount(zone);
   audit.threshold = "slo:" + breach->objective;
-  audit.action = obs::events::kSloBreach;
+  audit.action = obs::AuditEvent::kSloBreach;
   char rationale[200];
   std::snprintf(rationale, sizeof(rationale),
                 "objective '%s': value=%.3f short_burn=%.2f long_burn=%.2f",

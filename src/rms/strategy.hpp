@@ -68,19 +68,18 @@ struct Decision {
     return has<ReplicationEnactment>() || has<ResourceSubstitution>() || has<ResourceRemoval>();
   }
 
-  /// The audit-log action label: the first structural action's name, else
-  /// "zone_handoff" / "migrate_only" when only balancing actions were taken,
-  /// else "none". Matches the pre-Action audit vocabulary exactly.
-  [[nodiscard]] const char* primaryActionName() const {
+  /// The audit event: the first structural action's, else kZoneHandoff /
+  /// kMigrateOnly when only balancing actions were taken, else kNone.
+  [[nodiscard]] obs::AuditEvent primaryActionName() const {
     for (const Action& action : actions) {
       if (!std::holds_alternative<UserMigration>(action) &&
           !std::holds_alternative<ZoneHandoff>(action)) {
         return actionName(action);
       }
     }
-    if (has<ZoneHandoff>()) return obs::events::kZoneHandoff;
-    if (has<UserMigration>()) return obs::events::kMigrateOnly;
-    return obs::events::kNone;
+    if (has<ZoneHandoff>()) return obs::AuditEvent::kZoneHandoff;
+    if (has<UserMigration>()) return obs::AuditEvent::kMigrateOnly;
+    return obs::AuditEvent::kNone;
   }
 };
 

@@ -169,7 +169,7 @@ ClientId Cluster::connectClientTo(ServerId serverId, std::unique_ptr<InputProvid
     std::string reason;
     if (!admissionGate_(server, reason)) {
       ++admissionVetoes_;
-      if (config_.telemetry != nullptr && config_.telemetry->audit.enabled()) {
+      if (config_.telemetry != nullptr) {
         obs::AuditRecord record;
         record.at = sim_.now();
         record.zone = server.zone();
@@ -177,7 +177,7 @@ ClientId Cluster::connectClientTo(ServerId serverId, std::unique_ptr<InputProvid
         record.users = server.connectedUsers();
         record.replicas = zones_.replicas(server.zone()).size();
         record.threshold = "eq2:n_max";
-        record.action = obs::events::kAdmissionThrottle;
+        record.action = obs::AuditEvent::kAdmissionThrottle;
         record.rejected.push_back("admit:" + reason);
         record.rationale = std::move(reason);
         config_.telemetry->audit.record(std::move(record));

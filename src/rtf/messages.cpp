@@ -4,101 +4,113 @@
 
 namespace roia::rtf {
 
-// One field walker per message, in wire order (serialize/wire.hpp).
-// roia-lint's serialization-coverage rule requires every declared field of
-// each *Msg struct to appear in its walker.
+// One field walker per message, in wire order (serialize/wire.hpp). Each
+// walker first binds every member of its message by name, so a field added
+// to a *Msg struct does not compile until its walker binds it; a bound
+// field the walk then skips changes the golden bytes of WireLayoutTest.
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, ClientInputMsg> msg) {
-  io.var(msg.client.value);
-  io.var(msg.clientTick);
-  io.bytes(msg.commands);
+  auto& [client, clientTick, commands, viewAck] = msg;
+  io.var(client.value);
+  io.var(clientTick);
+  io.bytes(commands);
   // Optional trailing ack: absent when zero, so full-codec frames keep the
   // exact legacy byte image.
-  io.tailVar(msg.viewAck);
+  io.tailVar(viewAck);
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, ForwardedInputMsg> msg) {
-  io.var(msg.target.value);
-  io.var(msg.source.value);
-  io.bytes(msg.interaction);
+  auto& [target, source, interaction] = msg;
+  io.var(target.value);
+  io.var(source.value);
+  io.bytes(interaction);
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, EntityReplicationMsg> msg) {
-  io.var(msg.serverTick);
-  io.list(msg.entities, [&](auto& snapshot) { wire(io, snapshot); });
-  io.list(msg.removed, [&](auto& id) { io.var(id.value); });
+  auto& [serverTick, entities, removed] = msg;
+  io.var(serverTick);
+  io.list(entities, [&](auto& snapshot) { wire(io, snapshot); });
+  io.list(removed, [&](auto& id) { io.var(id.value); });
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, MigrationDataMsg> msg) {
-  io.var(msg.client.value);
-  io.var(msg.clientNode.value);
-  wire(io, msg.entity);
-  io.bytes(msg.appState);
-  io.var(msg.source.value);
-  io.var(msg.traceId);
+  auto& [client, clientNode, entity, appState, source, traceId] = msg;
+  io.var(client.value);
+  io.var(clientNode.value);
+  wire(io, entity);
+  io.bytes(appState);
+  io.var(source.value);
+  io.var(traceId);
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, MigrationAckMsg> msg) {
-  io.var(msg.client.value);
-  io.var(msg.entity.value);
-  io.var(msg.newOwner.value);
-  io.var(msg.traceId);
+  auto& [client, entity, newOwner, traceId] = msg;
+  io.var(client.value);
+  io.var(entity.value);
+  io.var(newOwner.value);
+  io.var(traceId);
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, ZoneHandoffMsg> msg) {
-  io.var(msg.client.value);
-  io.var(msg.clientNode.value);
-  io.var(msg.fromZone.value);
-  io.var(msg.toZone.value);
-  wire(io, msg.entity);
-  io.bytes(msg.appState);
-  io.var(msg.source.value);
-  io.var(msg.sourceNode.value);
-  io.var(msg.traceId);
+  auto& [client, clientNode, fromZone, toZone, entity, appState, source, sourceNode, traceId] = msg;
+  io.var(client.value);
+  io.var(clientNode.value);
+  io.var(fromZone.value);
+  io.var(toZone.value);
+  wire(io, entity);
+  io.bytes(appState);
+  io.var(source.value);
+  io.var(sourceNode.value);
+  io.var(traceId);
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, ZoneHandoffAckMsg> msg) {
-  io.var(msg.client.value);
-  io.var(msg.entity.value);
-  io.var(msg.newOwner.value);
-  io.var(msg.newZone.value);
-  io.var(msg.version);
-  io.var(msg.traceId);
+  auto& [client, entity, newOwner, newZone, version, traceId] = msg;
+  io.var(client.value);
+  io.var(entity.value);
+  io.var(newOwner.value);
+  io.var(newZone.value);
+  io.var(version);
+  io.var(traceId);
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, BorderSyncMsg> msg) {
-  io.var(msg.serverTick);
-  io.var(msg.zone.value);
-  io.var(msg.source.value);
-  io.list(msg.entities, [&](auto& snapshot) { wire(io, snapshot); });
+  auto& [serverTick, zone, source, entities] = msg;
+  io.var(serverTick);
+  io.var(zone.value);
+  io.var(source.value);
+  io.list(entities, [&](auto& snapshot) { wire(io, snapshot); });
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, HeartbeatMsg> msg) {
-  io.var(msg.server.value);
-  io.var(msg.seq);
-  io.svar(msg.sentAt.micros);
+  auto& [server, seq, sentAt] = msg;
+  io.var(server.value);
+  io.var(seq);
+  io.svar(sentAt.micros);
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, ViewReplicationMsg> msg) {
-  io.var(msg.serverTick);
-  io.var(msg.source.value);
-  io.bytes(msg.view);
+  auto& [serverTick, source, view] = msg;
+  io.var(serverTick);
+  io.var(source.value);
+  io.bytes(view);
 }
 
 template <class IO>
 void wire(IO& io, ser::WireRef<IO, ReplicationAckMsg> msg) {
-  io.var(msg.acker.value);
-  io.var(msg.tick);
+  auto& [acker, tick] = msg;
+  io.var(acker.value);
+  io.var(tick);
 }
 
 using ser::MessageType;

@@ -54,7 +54,6 @@ ReliableTransport::ReliableTransport(sim::Simulation& simulation, net::Network& 
       net_(network),
       self_(self),
       config_(config),
-      jitterRng_(config.jitterSeed ^ (self.value * 0x9e3779b97f4a7c15ULL)),
       alive_(std::make_shared<bool>(true)) {}
 
 ReliableTransport::~ReliableTransport() { *alive_ = false; }
@@ -67,16 +66,8 @@ void ReliableTransport::send(NodeId to, const ser::Frame& inner) {
   pending.timeout = config_.retransmitTimeout;
   net_.send(self_, to, pending.envelope);
   ++stats_.messagesSent;
-  const SimDuration after = jittered(pending.timeout);
   peer.pending.emplace(seq, std::move(pending));
-  scheduleRetransmit(to, seq, after);
-}
-
-SimDuration ReliableTransport::jittered(SimDuration base) {
-  if (config_.jitterFraction <= 0.0) return base;  // zero RNG draws when off
-  const double factor = 1.0 + jitterRng_.uniform(0.0, config_.jitterFraction);
-  return SimDuration::microseconds(
-      static_cast<std::int64_t>(static_cast<double>(base.micros) * factor));
+  scheduleRetransmit(to, seq, config_.retransmitTimeout);
 }
 
 void ReliableTransport::scheduleRetransmit(NodeId to, std::uint64_t seq, SimDuration after) {
@@ -99,7 +90,7 @@ void ReliableTransport::scheduleRetransmit(NodeId to, std::uint64_t seq, SimDura
         SimDuration::microseconds(static_cast<std::int64_t>(
             static_cast<double>(pending.timeout.micros) * config_.backoffFactor)),
         config_.maxRetransmitTimeout);
-    scheduleRetransmit(to, seq, jittered(pending.timeout));
+    scheduleRetransmit(to, seq, pending.timeout);
   });
 }
 

@@ -20,7 +20,6 @@
 #include <memory>
 #include <set>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/network.hpp"
 #include "serialize/message.hpp"
@@ -37,16 +36,6 @@ struct ReliableConfig {
   /// Total transmissions (initial + retransmits) before giving up. A crashed
   /// peer never acks, so unbounded retries would leak timers forever.
   std::size_t maxAttempts{8};
-  /// Seeded jitter on each retransmit delay: the armed timeout is scaled by
-  /// a factor drawn uniformly from [1, 1 + jitterFraction], decorrelating
-  /// endpoints that lost frames in the same burst (thundering-herd
-  /// retransmits). The backoff progression itself stays deterministic —
-  /// jitter only perturbs when a timer fires, not the next timeout. 0
-  /// disables jitter and draws no randomness, so default-config byte
-  /// streams are unchanged.
-  double jitterFraction{0.0};
-  /// Base seed of the per-endpoint jitter stream (mixed with the node id).
-  std::uint64_t jitterSeed{0x0ddb1a5ed5eedULL};
 };
 
 struct ReliableStats {
@@ -101,9 +90,6 @@ class ReliableTransport {
   };
 
   void scheduleRetransmit(NodeId to, std::uint64_t seq, SimDuration after);
-  /// Applies the configured retransmit jitter; identity (no RNG draw) when
-  /// jitterFraction is 0.
-  [[nodiscard]] SimDuration jittered(SimDuration base);
   [[nodiscard]] static bool alreadySeen(const PeerState& peer, std::uint64_t seq);
   static void markSeen(PeerState& peer, std::uint64_t seq);
 
@@ -111,7 +97,6 @@ class ReliableTransport {
   net::Network& net_;
   NodeId self_;
   ReliableConfig config_;
-  Rng jitterRng_;
   DeliverFn deliver_;
   std::map<std::uint64_t, PeerState> peers_;  // by NodeId value
   ReliableStats stats_;

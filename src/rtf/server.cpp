@@ -260,7 +260,6 @@ void Server::recordTickTelemetry(const TickProbes& probes) {
   recordHealthTelemetry(probes);
 
   obs::Tracer& tracer = telemetry_->tracer;
-  if (!tracer.enabled()) return;
   const std::size_t sample = std::max<std::size_t>(1, telemetry_->traceTickSampleEvery);
   if (probes.tickSeq % sample != 0) return;
   // The tick occupies [start, start + busy] in simulated time. The phases
@@ -310,7 +309,7 @@ void Server::recordHealthTelemetry(const TickProbes& probes) {
                     "window mean |rel err| %.3f left band %.3f after %llu samples",
                     drift->windowMeanAbsRelError, drift->band,
                     static_cast<unsigned long long>(drift->samples));
-      auditEvent(obs::events::kModelDrift, "drift-monitor", "drift:rel_error_band", measuredMs,
+      auditEvent(obs::AuditEvent::kModelDrift, "drift-monitor", "drift:rel_error_band", measuredMs,
                  predictedMs, rationale);
       telemetry_->flight.note(obsKey_, now, "model_drift");
     }
@@ -338,7 +337,7 @@ void Server::onSloBreach(const obs::SloBreach& breach, double predictedMs) {
                 "objective '%s': value=%.3f short_burn=%.2f long_burn=%.2f compliance=%.4f/%.4f",
                 breach.objective.c_str(), breach.value, breach.shortBurn, breach.longBurn,
                 breach.shortCompliance, breach.longCompliance);
-  auditEvent(obs::events::kSloBreach, "slo-engine", "slo:" + breach.objective, breach.value,
+  auditEvent(obs::AuditEvent::kSloBreach, "slo-engine", "slo:" + breach.objective, breach.value,
              predictedMs, rationale);
   telemetry_->flight.note(obsKey_, sim_.now(), "slo_breach:" + breach.objective);
   telemetry_->flight.dump("slo_breach:" + breach.objective + ":" + obsKey_, sim_.now());
@@ -1185,7 +1184,7 @@ void Server::applyOverloadLevel(std::size_t newLevel, double costMs, double pred
                 "%s to level %zu: cost=%.3fms predicted=%.3fms budget=%.3fms aoi_scale=%.2f",
                 down ? "step down" : "step up", newLevel, costMs, predictedMs, tickBudgetMs(),
                 kOverloadAoiScale[overloadLevel_]);
-  auditOverload(obs::events::kDegradeFidelity, down ? "eq2:tick_budget" : "eq2:tick_headroom",
+  auditOverload(obs::AuditEvent::kDegradeFidelity, down ? "eq2:tick_budget" : "eq2:tick_headroom",
                 costMs, predictedMs, rationale);
 }
 
@@ -1209,18 +1208,18 @@ void Server::updateShedCount() {
                 shedding ? "shed" : "readmit", shedObservers_, target, clients_.size(),
                 overloadLevel_);
   shedObservers_ = target;
-  auditOverload(shedding ? obs::events::kShedObservers : obs::events::kReadmitObservers,
+  auditOverload(shedding ? obs::AuditEvent::kShedObservers : obs::AuditEvent::kReadmitObservers,
                 "ladder:shed_level", lastTickCostMs_, -1.0, rationale);
 }
 
-void Server::auditOverload(const char* action, const char* threshold, double costMs,
+void Server::auditOverload(obs::AuditEvent action, const char* threshold, double costMs,
                            double predictedMs, std::string rationale) const {
   auditEvent(action, "overload-ladder", threshold, costMs, predictedMs, std::move(rationale));
 }
 
-void Server::auditEvent(const char* action, const char* strategy, std::string threshold,
+void Server::auditEvent(obs::AuditEvent action, const char* strategy, std::string threshold,
                         double costMs, double predictedMs, std::string rationale) const {
-  if (telemetry_ == nullptr || !telemetry_->audit.enabled()) return;
+  if (telemetry_ == nullptr) return;
   obs::AuditRecord record;
   record.at = sim_.now();
   record.zone = world_.zone();

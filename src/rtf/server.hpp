@@ -338,11 +338,10 @@ class Server : public ForwardSink {
   void updateOverloadLadder(const TickProbes& probes, SimDuration busy);
   void applyOverloadLevel(std::size_t newLevel, double costMs, double predictedMs);
   void updateShedCount();
-  void auditOverload(const char* action, const char* threshold, double costMs, double predictedMs,
-                     std::string rationale) const;
-  /// Generic audit emission (action names come from obs/events.hpp).
-  void auditEvent(const char* action, const char* strategy, std::string threshold, double costMs,
-                  double predictedMs, std::string rationale) const;
+  void auditOverload(obs::AuditEvent action, const char* threshold, double costMs,
+                     double predictedMs, std::string rationale) const;
+  void auditEvent(obs::AuditEvent action, const char* strategy, std::string threshold,
+                  double costMs, double predictedMs, std::string rationale) const;
 
   ServerId id_;
   Application& app_;

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
@@ -64,21 +65,42 @@ void copyEntry(EntitySnapshot& to, const EntitySnapshot& from) {
 // The schema table. Row order is the wire order of both the full snapshot
 // layout and the masked fields inside a delta entry; it must stay the
 // legacy order (id, kind, owner, client, x, y, vx, vy, health, version,
-// appData) so full-mode bytes never move. roia-lint checks that every
-// EntitySnapshot member appears here.
+// appData) so full-mode bytes never move.
 constexpr SnapshotSchemaRow kSnapshotSchema[] = {
-    {SnapshotField::kId, "id"},
-    {SnapshotField::kKind, "kind"},
-    {SnapshotField::kOwner, "owner"},
-    {SnapshotField::kClient, "client"},
-    {SnapshotField::kX, "x"},
-    {SnapshotField::kY, "y"},
-    {SnapshotField::kVx, "vx"},
-    {SnapshotField::kVy, "vy"},
-    {SnapshotField::kHealth, "health"},
-    {SnapshotField::kVersion, "version"},
-    {SnapshotField::kAppData, "appData"},
+    {SnapshotField::kId},
+    {SnapshotField::kKind},
+    {SnapshotField::kOwner},
+    {SnapshotField::kClient},
+    {SnapshotField::kX},
+    {SnapshotField::kY},
+    {SnapshotField::kVx},
+    {SnapshotField::kVy},
+    {SnapshotField::kHealth},
+    {SnapshotField::kVersion},
+    {SnapshotField::kAppData},
 };
+
+/// Converts to any member type; only ever named in unevaluated checks.
+struct AnyMember {
+  template <class T>
+  operator T() const;
+};
+
+/// The number of members of aggregate T: the largest n for which
+/// T{AnyMember, ... n times} is well-formed.
+template <class T, class... Members>
+constexpr std::size_t memberCount() {
+  if constexpr (requires { T{Members{}..., AnyMember{}}; }) {
+    return memberCount<T, Members..., AnyMember>();
+  } else {
+    return sizeof...(Members);
+  }
+}
+
+// A member added to EntitySnapshot needs its schema row (and its case in
+// the walkers below) before this compiles.
+static_assert(std::size(kSnapshotSchema) == memberCount<EntitySnapshot>(),
+              "every EntitySnapshot member needs a kSnapshotSchema row");
 
 /// The maskable fields in wire order: kSnapshotSchema without its id row.
 constexpr std::array<SnapshotField, std::size(kSnapshotSchema) - 1> kWireOrder = [] {

@@ -1,7 +1,7 @@
 // Schema-driven snapshot codec: one per-field schema table drives the full
-// (legacy wire-compatible) encoding, the delta encoding, and the lint-level
-// coverage check, so a field added to EntitySnapshot cannot silently skip
-// the wire.
+// (legacy wire-compatible) encoding and the delta encoding, and a
+// static_assert ties its row count to EntitySnapshot's member count, so a
+// field added to EntitySnapshot cannot silently skip the wire.
 //
 // Full mode writes every field of every entity each tick — byte-identical
 // to the original free-function codec. Delta mode encodes a *view* (the
@@ -119,12 +119,10 @@ struct StateUpdateMsg {
   std::span<const std::uint8_t> update;
 };
 
-/// One row of the snapshot schema: a field identity plus the EntitySnapshot
-/// member name it serializes (the name is what roia-lint checks coverage
-/// against). Row order in kSnapshotSchema *is* the wire order.
+/// One row of the snapshot schema: the EntitySnapshot field it serializes.
+/// Row order in kSnapshotSchema *is* the wire order.
 struct SnapshotSchemaRow {
   SnapshotField field;
-  const char* name;
 };
 
 /// The schema table, in wire order (see snapshot_codec.cpp).

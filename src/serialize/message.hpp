@@ -24,7 +24,6 @@ enum class MessageType : std::uint16_t {
   kEntityReplication = 4,  // server -> server: active-entity state for shadows
   kMigrationData = 6,      // server -> server: serialized user + entity state
   kMigrationAck = 7,       // server -> server: adoption confirmed
-  kControl = 8,            // manager -> server: RMS commands
   kMonitoring = 9,         // server -> manager: monitoring snapshot
   kReliableData = 10,      // reliable-delivery envelope around another frame
   kReliableAck = 11,       // ack for one reliable sequence number
@@ -40,7 +39,7 @@ enum class MessageType : std::uint16_t {
 
 /// An encoded frame plus its decoded header, as seen by the network layer.
 struct Frame {
-  MessageType type{MessageType::kControl};
+  MessageType type{};  // 0 is no type: every sender sets one
   std::vector<std::uint8_t> payload;
 
   [[nodiscard]] std::size_t payloadSize() const { return payload.size(); }

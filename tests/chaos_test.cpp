@@ -31,7 +31,7 @@ namespace {
 
 ser::Frame taggedFrame(std::size_t tag) {
   ser::Frame frame;
-  frame.type = ser::MessageType::kControl;
+  frame.type = ser::MessageType::kMigrationAck;
   frame.payload.assign(tag, 0x42);  // payload size doubles as the tag
   return frame;
 }

@@ -11,19 +11,15 @@ Checks:
  2. The call-graph fixture tree fires transitive-hot-alloc and
     determinism-taint once per site, with exact lines AND the exact
     source -> sink / hot-root -> callee chains across TUs.
- 3. A copy of the real protocol files (src/rtf/ + tests/wire_samples.hpp)
-    lints clean; deleting the MigrationAckMsg row from its golden-bytes
-    table gives exactly one serialization-coverage finding, at that
-    struct's declaration line; deleting the table gives one at line 1.
- 4. The debt fixture tree flags the stale allow(), keeps the live one,
+ 3. The debt fixture tree flags the stale allow(), keeps the live one,
     and the JSON debt table carries both with rule/reason/liveness.
- 5. The cpp_index unit fixture parses namespaces, classes, out-of-line
+ 4. The cpp_index unit fixture parses namespaces, classes, out-of-line
     methods, overload sets, templates and ctors with init lists, with
     correct qualnames, hot flags, facts and call edges.
- 6. The real tree (src/) is clean under ALL rules: exit 0, zero findings,
+ 5. The real tree (src/) is clean under ALL rules: exit 0, zero findings,
     and every `// roia-hot` annotation marks exactly one indexed function.
- 7. --format sarif emits valid SARIF 2.1.0 with one result per finding.
- 8. --list-rules and the SARIF rule metadata name exactly the rule
+ 6. --format sarif emits valid SARIF 2.1.0 with one result per finding.
+ 7. --list-rules and the SARIF rule metadata name exactly the rule
     catalogue; selecting a retired rule or passing a retired flag is a
     usage error.
 """
@@ -31,10 +27,8 @@ Checks:
 import collections
 import json
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 LINT = os.path.join(REPO_ROOT, "tools", "lint", "roia_lint.py")
@@ -50,8 +44,6 @@ import cpp_index  # noqa: E402
 # Exact expectations: basename, 1-indexed line, rule id. A linter that
 # drifts by one line or invents/loses a finding fails this test.
 EXPECTED_FINDINGS = {
-    ("audit_vocab_bad.cpp", 9, "audit-vocabulary"),
-    ("audit_vocab_bad.cpp", 10, "audit-vocabulary"),
     ("determinism_bad.cpp", 9, "determinism-taint"),
     ("determinism_bad.cpp", 14, "determinism-taint"),
     ("determinism_bad.cpp", 15, "determinism-taint"),
@@ -67,9 +59,6 @@ EXPECTED_FINDINGS = {
     ("hot_alloc_bad.cpp", 9, "transitive-hot-alloc"),
     ("hot_alloc_bad.cpp", 9, "bad-suppression"),       # allow() names a retired rule
     ("hot_alloc_bad.cpp", 18, "transitive-hot-alloc"),  # dangling // roia-hot
-    ("messages.hpp", 13, "serialization-coverage"),
-    ("entity.hpp", 13, "serialization-coverage"),   # EntitySnapshot.vx
-    ("entity.hpp", 14, "serialization-coverage"),   # EntitySnapshot.health
     ("ordered_iteration_bad.cpp", 10, "ordered-iteration"),
     ("suppression_missing_reason.cpp", 6, "bad-suppression"),
     ("suppression_missing_reason.cpp", 6, "determinism-taint"),
@@ -103,9 +92,8 @@ EXPECTED_DEBT_SUPPRESSED = {
 }
 
 EXPECTED_RULES = {
-    "ordered-iteration", "serialization-coverage", "bounded-retry",
-    "audit-vocabulary", "bad-suppression", "transitive-hot-alloc",
-    "determinism-taint", "suppression-debt",
+    "ordered-iteration", "bounded-retry", "bad-suppression",
+    "transitive-hot-alloc", "determinism-taint", "suppression-debt",
 }
 
 
@@ -169,49 +157,6 @@ def check_callgraph_fixtures(failures):
             failures.append(
                 f"callgraph: {base}:{f['line']} [{f['rule']}] message lacks "
                 f"chain {want!r}: {f['message']}")
-
-
-def check_wire_samples(failures):
-    """Every real *Msg struct needs a row in the golden-bytes table."""
-    with tempfile.TemporaryDirectory() as tmp:
-        rtf = os.path.join(tmp, "src", "rtf")
-        os.makedirs(rtf)
-        for name in ("messages.hpp", "messages.cpp", "snapshot_codec.cpp", "entity.hpp"):
-            shutil.copy(os.path.join(REPO_ROOT, "src", "rtf", name), rtf)
-        os.makedirs(os.path.join(tmp, "tests"))
-        table = os.path.join(tmp, "tests", "wire_samples.hpp")
-        shutil.copy(os.path.join(REPO_ROOT, "tests", "wire_samples.hpp"), table)
-
-        def findings():
-            proc = run_lint("--format", "json", rtf)
-            return proc.returncode, [(os.path.basename(f["file"]), f["line"], f["rule"])
-                                     for f in json.loads(proc.stdout)["findings"]]
-
-        got = findings()
-        if got != (0, []):
-            failures.append(f"wire-samples: the copy should lint clean, got {got}")
-            return
-        # Cut the row (its braces matched on the masked text) and its comma.
-        with open(table, encoding="utf-8") as f:
-            text = f.read()
-        start = text.index("{MessageType::kMigrationAck,")
-        end = cpp_index.match_bracket(cpp_index.mask_source(text), start, "{", "}")
-        with open(table, "w", encoding="utf-8") as f:
-            f.write(text[:start] + text[end:].lstrip(",\n "))
-        with open(os.path.join(rtf, "messages.hpp"), encoding="utf-8") as f:
-            struct_line = next(i for i, line in enumerate(f, start=1)
-                               if "struct MigrationAckMsg" in line)
-        want = (1, [("messages.hpp", struct_line, "serialization-coverage")])
-        got = findings()
-        if got != want:
-            failures.append(f"wire-samples: deleted MigrationAckMsg row should give "
-                            f"{want}, got {got}")
-        # Without the table the check must not switch off silently.
-        os.remove(table)
-        want = (1, [("messages.hpp", 1, "serialization-coverage")])
-        got = findings()
-        if got != want:
-            failures.append(f"wire-samples: a missing table should give {want}, got {got}")
 
 
 def check_debt_fixtures(failures):
@@ -340,7 +285,8 @@ def check_rule_catalogue(failures):
     listed = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
     if len(listed) != len(EXPECTED_RULES) or set(listed) != EXPECTED_RULES:
         failures.append(f"--list-rules lists {listed}, expected {sorted(EXPECTED_RULES)}")
-    for retired in ("determinism", "hot-path-alloc", "wire-schema-drift"):
+    for retired in ("determinism", "hot-path-alloc", "wire-schema-drift",
+                    "audit-vocabulary", "serialization-coverage"):
         proc = run_lint("--rules", retired, "src/")
         if proc.returncode != 2:
             failures.append(f"--rules {retired}: expected usage error (exit 2), "
@@ -356,7 +302,6 @@ def main():
     failures = []
     check_line_local_fixtures(failures)
     check_callgraph_fixtures(failures)
-    check_wire_samples(failures)
     check_debt_fixtures(failures)
     check_indexer(failures)
     check_real_tree(failures)

@@ -49,7 +49,7 @@ TEST(MonitoringCodecTest, RoundTrip) {
 
 TEST(MonitoringCodecTest, WrongTypeRejected) {
   ser::Frame frame;
-  frame.type = ser::MessageType::kControl;
+  frame.type = ser::MessageType::kHeartbeat;
   EXPECT_THROW((void)decodeMonitoring(frame), ser::DecodeError);
 }
 

@@ -13,7 +13,7 @@ namespace {
 
 ser::Frame makeFrame(std::size_t payloadBytes, std::uint8_t fill = 0x42) {
   ser::Frame frame;
-  frame.type = ser::MessageType::kControl;
+  frame.type = ser::MessageType::kStateUpdate;
   frame.payload.assign(payloadBytes, fill);
   return frame;
 }

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/sweep.hpp"
@@ -217,7 +219,6 @@ std::size_t countOccurrences(const std::string& text, const std::string& needle)
 
 TEST(TracerTest, JsonIsMonotoneWithMatchedBeginEndPairs) {
   obs::Tracer tracer;
-  tracer.setEnabled(true);
   const std::uint32_t s1 = tracer.track("server-1");
   const std::uint32_t s2 = tracer.track("server-2");
 
@@ -250,12 +251,8 @@ TEST(TracerTest, JsonIsMonotoneWithMatchedBeginEndPairs) {
   }
 }
 
-TEST(TracerTest, DisabledTracerRecordsNothingAndCapCounts) {
+TEST(TracerTest, CapCountsDroppedEvents) {
   obs::Tracer tracer;
-  tracer.beginSpan(0, SimTime{1}, "x", "y");
-  EXPECT_EQ(tracer.eventCount(), 0u);
-
-  tracer.setEnabled(true);
   tracer.setMaxEvents(2);
   for (int i = 0; i < 5; ++i) tracer.instant(0, SimTime{i}, "e", "c");
   EXPECT_EQ(tracer.eventCount(), 2u);
@@ -267,7 +264,43 @@ TEST(TracerTest, DisabledTracerRecordsNothingAndCapCounts) {
 
 // --- AuditLog ---
 
-TEST(AuditLogTest, RecordsOnlyWhenEnabledAndExportsJsonl) {
+// The audit.jsonl names are a contract: health_report.py and CI's inline
+// checks match on them. The table lists the events in declaration order,
+// and the value after the last one has no name, so an event added to
+// AuditEvent fails here until its name is pinned too.
+TEST(AuditLogTest, EveryEventKeepsItsJsonlName) {
+  using obs::AuditEvent;
+  const std::pair<AuditEvent, const char*> kNames[] = {
+      {AuditEvent::kNone, "none"},
+      {AuditEvent::kAddReplica, "add_replica"},
+      {AuditEvent::kSubstituteServer, "substitute_server"},
+      {AuditEvent::kRemoveServer, "remove_server"},
+      {AuditEvent::kMigrateOnly, "migrate_only"},
+      {AuditEvent::kZoneHandoff, "zone_handoff"},
+      {AuditEvent::kRecoverCrash, "recover_crash"},
+      {AuditEvent::kGracefulDrain, "graceful_drain"},
+      {AuditEvent::kDrainComplete, "drain_complete"},
+      {AuditEvent::kAdmissionThrottle, "admission_throttle"},
+      {AuditEvent::kDegradeFidelity, "degrade_fidelity"},
+      {AuditEvent::kShedObservers, "shed_observers"},
+      {AuditEvent::kReadmitObservers, "readmit_observers"},
+      {AuditEvent::kSloBreach, "slo_breach"},
+      {AuditEvent::kModelDrift, "model_drift"},
+  };
+  for (std::size_t i = 0; i < std::size(kNames); ++i) {
+    const auto& [event, name] = kNames[i];
+    EXPECT_EQ(event, static_cast<AuditEvent>(i)) << name;
+    EXPECT_STREQ(obs::auditEventName(event), name);
+    obs::AuditRecord record;
+    record.action = event;
+    EXPECT_NE(obs::AuditLog::toJson(record).find(std::string("\"action\":\"") + name + "\""),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_STREQ(obs::auditEventName(static_cast<AuditEvent>(std::size(kNames))), "?");
+}
+
+TEST(AuditLogTest, ExportsJsonl) {
   obs::AuditLog log;
   obs::AuditRecord record;
   record.at = SimTime{} + SimDuration::seconds(2);
@@ -278,13 +311,10 @@ TEST(AuditLogTest, RecordsOnlyWhenEnabledAndExportsJsonl) {
   record.replicas = 2;
   record.predictedTickMs = 31.5;
   record.threshold = "eq2:n_trigger";
-  record.action = "add_replica";
+  record.action = obs::AuditEvent::kAddReplica;
   record.rejected.push_back("remove_replica: users above hysteresis floor");
   record.rationale = "replication enactment";
 
-  log.record(record);
-  EXPECT_EQ(log.size(), 0u);  // disabled: no-op
-  log.setEnabled(true);
   log.record(record);
   ASSERT_EQ(log.size(), 1u);
 
@@ -559,8 +589,6 @@ std::vector<double> runFingerprint(obs::Telemetry* telemetry) {
 
 TEST(TelemetryDeterminismTest, SimulationIsBitIdenticalWithTelemetryAttached) {
   obs::Telemetry telemetry;
-  telemetry.tracer.setEnabled(true);
-  telemetry.audit.setEnabled(true);
   // Full observability v2 surface: SLO objectives, drift monitor, protocol
   // tracker and flight recorder all observing.
   obs::installDefaultObjectives(telemetry.slo);
@@ -593,8 +621,6 @@ TEST(TelemetryDeterminismTest, SimulationIsBitIdenticalWithTelemetryAttached) {
 
 TEST(RmsAuditTest, ControlPeriodsProduceAuditRecords) {
   obs::Telemetry telemetry;
-  telemetry.audit.setEnabled(true);
-  telemetry.tracer.setEnabled(true);
 
   game::FpsApplication app;
   rtf::ClusterConfig clusterConfig;
@@ -649,15 +675,9 @@ rms::OverloadSessionConfig overloadedSession(std::uint64_t seed) {
   return config;
 }
 
-void enableAll(obs::Telemetry& telemetry) {
-  telemetry.tracer.setEnabled(true);
-  telemetry.audit.setEnabled(true);
-  obs::installDefaultObjectives(telemetry.slo);
-}
-
 TEST(ServerHealthTest, OverloadRecordsSloBreachesDriftAndFlightDumps) {
   obs::Telemetry telemetry;
-  enableAll(telemetry);
+  obs::installDefaultObjectives(telemetry.slo);
   rms::OverloadSessionConfig config = overloadedSession(5);
   config.telemetry = &telemetry;
   const rms::OverloadSessionSummary summary = rms::runOverloadSession(config);
@@ -666,8 +686,8 @@ TEST(ServerHealthTest, OverloadRecordsSloBreachesDriftAndFlightDumps) {
   std::size_t breaches = 0;
   std::size_t drifts = 0;
   for (const obs::AuditRecord& record : telemetry.audit.records()) {
-    if (record.action == obs::events::kSloBreach) ++breaches;
-    if (record.action == obs::events::kModelDrift) ++drifts;
+    if (record.action == obs::AuditEvent::kSloBreach) ++breaches;
+    if (record.action == obs::AuditEvent::kModelDrift) ++drifts;
   }
   EXPECT_GE(breaches, 1u);
   EXPECT_EQ(breaches, telemetry.slo.breachCount());
@@ -700,7 +720,7 @@ Sidecars writeSidecars(const obs::Telemetry& telemetry) {
 // Four sessions fan out over `threads` workers; only the second is observed.
 Sidecars observeOneOfFour(std::size_t threads) {
   obs::Telemetry telemetry;
-  enableAll(telemetry);
+  obs::installDefaultObjectives(telemetry.slo);
   par::forEachIndex(
       4,
       [&](std::size_t i) {

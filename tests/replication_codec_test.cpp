@@ -139,7 +139,8 @@ TEST(SnapshotCodecTest, SchemaCoversEveryFieldExactlyOnce) {
       continue;
     }
     const FieldMask bit = fieldBit(row.field);
-    EXPECT_EQ(seen & bit, 0) << "duplicate schema row for " << row.name;
+    EXPECT_EQ(seen & bit, 0) << "duplicate schema row for field "
+                             << static_cast<int>(row.field);
     seen |= bit;
   }
   EXPECT_TRUE(sawId);

@@ -169,7 +169,7 @@ TEST(FrameTest, RoundTrip) {
 
 TEST(FrameTest, EmptyPayload) {
   Frame frame;
-  frame.type = MessageType::kControl;
+  frame.type = MessageType::kHeartbeat;
   const Frame decoded = decodeFrame(encodeFrame(frame));
   EXPECT_TRUE(decoded.payload.empty());
 }

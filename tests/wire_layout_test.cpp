@@ -9,10 +9,13 @@
 //
 // Frame payloads come from the one table in wire_samples.hpp; the layouts
 // below it (snapshot entries, game payloads and the hand-written frame,
-// envelope, command and view encoders) are pinned inline.
+// envelope, command and view encoders) are pinned inline, and
+// EveryFrameTypeHasAGoldenPin holds each ser::MessageType to one of them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,6 +52,47 @@ std::string viewHex(std::span<const rtf::EntitySnapshot> view) {
     rtf::SnapshotCodec::writeSnapshot(writer, snapshot);
   }
   return hex(writer.bytes());
+}
+
+/// Where the payload bytes of each frame type are pinned. There is no
+/// default label, so -Wswitch names a frame type added without a pin.
+enum class Pin { kSampleRow, kHandWritten, kNotAType };
+
+Pin pinOf(ser::MessageType type) {
+  using ser::MessageType;
+  switch (type) {
+    case MessageType::kClientInput:
+    case MessageType::kForwardedInput:
+    case MessageType::kEntityReplication:
+    case MessageType::kMigrationData:
+    case MessageType::kMigrationAck:
+    case MessageType::kMonitoring:
+    case MessageType::kHeartbeat:
+    case MessageType::kZoneHandoff:
+    case MessageType::kZoneHandoffAck:
+    case MessageType::kBorderSync:
+    case MessageType::kViewReplication:
+    case MessageType::kReplicationAck:
+      return Pin::kSampleRow;
+    case MessageType::kStateUpdate:   // "state update frame"
+    case MessageType::kReliableData:  // "reliable envelope and ack"
+    case MessageType::kReliableAck:   // "reliable envelope and ack"
+    case MessageType::kViewUpdate:    // "baseline views", its payload
+      return Pin::kHandWritten;
+  }
+  return Pin::kNotAType;
+}
+
+TEST(WireLayoutTest, EveryFrameTypeHasAGoldenPin) {
+  for (std::uint32_t value = 0; value <= 0xFFFF; ++value) {
+    const auto type = static_cast<ser::MessageType>(value);
+    const Pin pin = pinOf(type);
+    if (pin == Pin::kNotAType) continue;
+    const auto rows = std::count_if(
+        std::begin(wire_samples::kFrameSamples), std::end(wire_samples::kFrameSamples),
+        [&](const wire_samples::FrameSample& row) { return row.type == type; });
+    EXPECT_EQ(rows, pin == Pin::kSampleRow ? 1 : 0) << "frame type " << value;
+  }
 }
 
 TEST(WireLayoutTest, EveryWalkedLayoutMatchesGoldenBytes) {

@@ -11,9 +11,10 @@
 //     to every row's decoder;
 //   * the decode fuzz harness (tests/fuzz) takes its frame decoders and
 //     frame seeds from it.
-// roia-lint's serialization-coverage rule requires a row for every *Msg
-// struct in src/rtf/messages.hpp, so a new message needs its golden bytes
-// in the same diff. Kept free of gtest: the fuzz harness includes it too.
+// WireLayoutTest.EveryFrameTypeHasAGoldenPin requires a row for every
+// frame type that no hand-written case pins, so a new message needs its
+// golden bytes in the same diff. Kept free of gtest: the fuzz harness
+// includes it too.
 #pragma once
 
 #include <cstddef>

@@ -50,14 +50,11 @@ CPP_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 HOT_RE = re.compile(r"//\s*roia-hot\b")
 
 
-def mask_source(text, keep_literals=False):
+def mask_source(text):
     """Replaces comments and string/char literals with spaces.
 
     Newlines are preserved so offsets and line numbers survive. Handles //,
     /* */, "...", '...' with escapes, and basic raw strings R"delim(...)delim".
-    keep_literals masks comments only: the audit-vocabulary rule *reads*
-    string literals (they are its findings), yet commented-out emissions
-    must stay inert.
     """
     out = []
     i = 0
@@ -85,8 +82,7 @@ def mask_source(text, keep_literals=False):
             terminator = ")" + delim + '"'
             end = text.find(terminator, close + 1)
             end = n if end == -1 else end + len(terminator)
-            out.append(text[i:end] if keep_literals else
-                       "".join(ch if ch == "\n" else " " for ch in text[i:end]))
+            out.append("".join(ch if ch == "\n" else " " for ch in text[i:end]))
             i = end
         elif c in "\"'":
             quote = c
@@ -94,7 +90,7 @@ def mask_source(text, keep_literals=False):
             while j < n and text[j] != quote:
                 j += 2 if text[j] == "\\" else 1
             j = min(j + 1, n)
-            out.append(text[i:j] if keep_literals else " " * (j - i))
+            out.append(" " * (j - i))
             i = j
         else:
             out.append(c)

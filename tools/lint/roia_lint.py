@@ -4,11 +4,16 @@
 The repo's correctness story rests on source-level conventions that a
 compiler cannot check: deterministic simulation (seeded RNG only, no wall
 clock), stable iteration order anywhere bytes/RNG/telemetry are produced,
-full field coverage of every wire message, and allocation-free hot
-paths. This tool turns those conventions into named, machine-checkable
-rules over the C++ sources, one rule per invariant. Stdlib Python only;
-token/AST-lite (comments and string literals are masked before scanning,
-so commented-out code never fires a rule).
+bounded retries, and allocation-free hot paths. This tool turns those
+conventions into named, machine-checkable rules over the C++ sources, one
+rule per invariant. Stdlib Python only; token/AST-lite (comments and
+string literals are masked before scanning, so commented-out code never
+fires a rule).
+
+What the compiler can check stays with the compiler: audit events are an
+enum (src/obs/events.hpp), every wire walker binds all members of its
+message, a static_assert ties the snapshot schema to EntitySnapshot, and
+WireLayoutTest pins the bytes of every frame type.
 
 Rules (see --list-rules):
 
@@ -17,27 +22,11 @@ Rules (see --list-rules):
                          telemetry output — iteration order there leaks
                          into bytes/results and breaks the byte-identical
                          sweep contract.
-  serialization-coverage parses every *Msg struct in rtf/messages.hpp and
-                         verifies each field appears in the struct's wire()
-                         field walker in messages.cpp (one walker encodes
-                         and decodes, serialize/wire.hpp) and that each
-                         struct has a golden-bytes row in
-                         tests/wire_samples.hpp; also parses EntitySnapshot
-                         (rtf/entity.hpp) and verifies every field has a
-                         SnapshotField row in the kSnapshotSchema wire table
-                         of snapshot_codec.cpp.
   bounded-retry          flags retry/retransmit/poll loops in the
                          deterministic core with no structural exit
                          (while(true), for(;;), negated-flag spins) and no
                          attempt cap, deadline, or budget in sight — an
                          unreachable peer must not spin forever.
-  audit-vocabulary       audit `action` names must come from the
-                         marker-tagged registry header (the file whose
-                         first lines contain `roia-audit-event-registry`,
-                         canonically src/obs/events.hpp); flags string
-                         literals assigned to an `.action` field or passed
-                         as the first argument of an audit*() call that
-                         are not registered there.
   bad-suppression        a `roia-lint: allow(...)` without a justification
                          (`-- <reason>`) or naming an unknown rule.
 
@@ -92,8 +81,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpp_index  # noqa: E402  (sibling module, stdlib-only)
-from cpp_index import (  # noqa: E402
-    CPP_EXTENSIONS, line_of, mask_source, match_bracket)
+from cpp_index import CPP_EXTENSIONS, line_of, match_bracket  # noqa: E402
 
 # Subsystems whose behaviour must be bit-reproducible from a seed. src/obs
 # (telemetry sidecars may stamp wall-clock metadata) and the bench harnesses
@@ -106,24 +94,11 @@ RULES = {
         "that feeds serialization, RNG draws, or telemetry output — "
         "unordered iteration order leaks into bytes/results"
     ),
-    "serialization-coverage": (
-        "every field of every *Msg struct in rtf/messages.hpp must appear "
-        "in the struct's wire() field walker in messages.cpp, every such "
-        "struct must have a golden-bytes row in tests/wire_samples.hpp, and "
-        "every EntitySnapshot field must have a SnapshotField::k<Name> row "
-        "in the kSnapshotSchema wire table of snapshot_codec.cpp"
-    ),
     "bounded-retry": (
         "retry/retransmit/poll loops in the deterministic core with no "
         "structural exit (while(true), for(;;), negated-flag spins) must "
         "carry an attempt cap, deadline, or budget — unreachable peers "
         "must not spin forever"
-    ),
-    "audit-vocabulary": (
-        "audit event (action) names must come from the registry header "
-        "tagged `roia-audit-event-registry` (src/obs/events.hpp) — a "
-        "free-form literal assigned to `.action` or passed first to an "
-        "audit*() call breaks the closed, greppable audit vocabulary"
     ),
     "bad-suppression": (
         "roia-lint: allow(...) must name a known rule and carry a "
@@ -167,11 +142,6 @@ class Finding:
     def as_dict(self):
         return {"file": self.file, "line": self.line, "rule": self.rule,
                 "message": self.message}
-
-
-def read_masked(path):
-    with open(path, encoding="utf-8") as f:
-        return mask_source(f.read())
 
 
 def collect_suppressions(raw_lines):
@@ -230,171 +200,6 @@ def rule_ordered_iteration(path, masked, unordered_names):
                 f"range-for over unordered container '{terminal}' "
                 "in an output-feeding file; iterate a sorted view or use an "
                 "ordered container"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# serialization-coverage
-
-STRUCT_RE = re.compile(r"\bstruct\s+(\w+Msg)\s*\{")
-
-
-def struct_data_members(masked, open_brace, end):
-    """list of (field_name, line): depth-1 struct members."""
-    fields = []
-    depth = 0
-    stmt = []
-    stmt_start = open_brace + 1
-    for i in range(open_brace + 1, end - 1):
-        ch = masked[i]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif depth == 0:
-            if ch == ";":
-                text = "".join(stmt)
-                # Data members carry no parentheses once initializers
-                # (brace form) are stripped; anything with '(' is a
-                # function/constructor declaration.
-                if "(" not in text:
-                    # Drop '= default-value' initializers, keep the name.
-                    text = text.split("=")[0].strip()
-                    name = re.search(r"([A-Za-z_]\w*)\s*$", text)
-                    if name and not text.startswith(("using", "static")):
-                        fields.append((name.group(1), line_of(masked, stmt_start)))
-                stmt = []
-                stmt_start = i + 1
-            else:
-                stmt.append(ch)
-                if ch == "\n" and not "".join(stmt).strip():
-                    stmt_start = i + 1
-    return fields
-
-
-def parse_message_structs(masked):
-    """name -> list of (field, line). Depth-1 data members only."""
-    structs = {}
-    for m in STRUCT_RE.finditer(masked):
-        open_brace = masked.find("{", m.start())
-        end = match_bracket(masked, open_brace, "{", "}")
-        if end == -1:
-            continue
-        structs[m.group(1)] = struct_data_members(masked, open_brace, end)
-    return structs
-
-
-def parse_message_struct_lines(masked):
-    """name -> line of the `struct <Name>Msg {` declaration itself."""
-    return {m.group(1): line_of(masked, m.start())
-            for m in STRUCT_RE.finditer(masked)}
-
-
-def parse_struct_fields(masked, struct_name):
-    """Depth-1 data members of one named struct: list of (name, line)."""
-    m = re.search(r"\bstruct\s+" + re.escape(struct_name) + r"\s*\{", masked)
-    if not m:
-        return []
-    open_brace = masked.find("{", m.start())
-    end = match_bracket(masked, open_brace, "{", "}")
-    if end == -1:
-        return []
-    return struct_data_members(masked, open_brace, end)
-
-
-def function_body(masked, header_re):
-    """Body text of the first function whose header matches header_re."""
-    m = header_re.search(masked)
-    if not m:
-        return None
-    open_brace = masked.find("{", m.end())
-    if open_brace == -1:
-        return None
-    end = match_bracket(masked, open_brace, "{", "}")
-    if end == -1:
-        return None
-    return masked[m.start():end]
-
-
-def rule_serialization_coverage(hpp_path, hpp_masked, cpp_path, cpp_masked):
-    findings = []
-    structs = parse_message_structs(hpp_masked)
-    for struct, fields in sorted(structs.items()):
-        body = function_body(
-            cpp_masked, re.compile(r"\bwire\s*\([^(){};]*\b" + struct + r"\b[^(){};]*\)"))
-        if body is None:
-            findings.append(Finding(
-                cpp_path, 1, "serialization-coverage",
-                f"no wire() walker found for {struct}"))
-            continue
-        for field, line in fields:
-            if not re.search(r"\.\s*" + re.escape(field) + r"\b", body):
-                findings.append(Finding(
-                    hpp_path, line, "serialization-coverage",
-                    f"{struct}.{field} missing from its wire() walker in "
-                    f"{os.path.basename(cpp_path)} — silent field drift"))
-    return findings
-
-
-def rule_wire_sample_coverage(hpp_path, hpp_masked):
-    """Every *Msg struct needs a row in the golden-bytes table.
-
-    The table (tests/wire_samples.hpp, two levels above rtf/) pins each
-    frame type's payload byte for byte, so a message added without a row
-    would reach the wire unpinned. A struct counts as covered when its name
-    appears in the table outside comments; a missing table is a finding
-    too, so the check cannot switch itself off.
-    """
-    table = os.path.normpath(os.path.join(
-        os.path.dirname(hpp_path), os.pardir, os.pardir, "tests",
-        "wire_samples.hpp"))
-    try:
-        with open(table, encoding="utf-8") as f:
-            table_code = mask_source(f.read(), keep_literals=True)
-    except (OSError, UnicodeDecodeError) as err:
-        return [Finding(hpp_path, 1, "serialization-coverage",
-                        f"golden-bytes table {table} missing or unreadable "
-                        f"({err}); every *Msg struct needs a row there")]
-    return [Finding(hpp_path, line, "serialization-coverage",
-                    f"{struct} has no row in {table} — add its sample and "
-                    "golden hex in the same diff")
-            for struct, line in parse_message_struct_lines(hpp_masked).items()
-            if not re.search(r"\b" + struct + r"\b", table_code)]
-
-
-SNAPSHOT_SCHEMA_RE = re.compile(r"\bkSnapshotSchema\s*\[\s*\]\s*=\s*\{")
-
-
-def rule_snapshot_schema_coverage(cpp_path, cpp_masked, hpp_path, hpp_masked):
-    """Every EntitySnapshot field needs a SnapshotField row in the schema.
-
-    The schema table drives both the full and the delta wire paths, so a
-    field missing from it silently never reaches the wire. Field names map
-    to enumerators by capitalising the first letter (x -> kX, vx -> kVx,
-    appData -> kAppData).
-    """
-    findings = []
-    fields = parse_struct_fields(hpp_masked, "EntitySnapshot")
-    if not fields:
-        return [Finding(hpp_path, 1, "serialization-coverage",
-                        "struct EntitySnapshot not found next to "
-                        f"{os.path.basename(cpp_path)}")]
-    m = SNAPSHOT_SCHEMA_RE.search(cpp_masked)
-    if not m:
-        return [Finding(cpp_path, 1, "serialization-coverage",
-                        "no kSnapshotSchema table found — the schema-driven "
-                        "codec has nothing to drive it")]
-    open_brace = cpp_masked.find("{", m.start())
-    end = match_bracket(cpp_masked, open_brace, "{", "}")
-    body = cpp_masked[open_brace:end] if end != -1 else cpp_masked[open_brace:]
-    for field, line in fields:
-        enumerator = "k" + field[0].upper() + field[1:]
-        if not re.search(r"\bSnapshotField\s*::\s*" + enumerator + r"\b", body):
-            findings.append(Finding(
-                hpp_path, line, "serialization-coverage",
-                f"EntitySnapshot.{field} has no SnapshotField::{enumerator} "
-                f"row in kSnapshotSchema ({os.path.basename(cpp_path)}) — "
-                "the field silently skips the wire"))
     return findings
 
 
@@ -467,65 +272,6 @@ def rule_bounded_retry(path, masked, in_core):
             "retry/retransmit loop with no structural exit and no attempt "
             "cap, deadline, or budget in sight — bound the retries or the "
             "loop spins forever against an unreachable peer"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# audit-vocabulary
-
-# The registry header announces itself with this marker in its opening
-# comment (canonically src/obs/events.hpp, line 1).
-AUDIT_REGISTRY_MARKER = "roia-audit-event-registry"
-AUDIT_REGISTRY_CONST_RE = re.compile(r'char\s*\*\s*k\w+\s*=\s*"([^"]*)"')
-# A string literal assigned to an audit record's action field, or passed as
-# the first argument of an audit-emitting call (auditEvent, auditOverload,
-# ...). Whitespace may span lines.
-AUDIT_ACTION_ASSIGN_RE = re.compile(r'\.\s*action\s*=\s*"([^"]*)"')
-AUDIT_CALL_LITERAL_RE = re.compile(r'\baudit\w*\s*\(\s*"([^"]*)"')
-
-
-def load_audit_vocabulary(files):
-    """(vocabulary set, set of registry paths) from marker-tagged headers.
-
-    Every scanned file whose first three lines carry the marker contributes
-    its constants; when none is in the scan set, the canonical registry
-    next to this tool's repo checkout is used so partial-tree invocations
-    (e.g. linting one subdirectory) still know the vocabulary.
-    """
-    vocab = set()
-    registries = set()
-    for path in files:
-        try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except OSError:
-            continue
-        head = "\n".join(text.splitlines()[:3])
-        if AUDIT_REGISTRY_MARKER in head:
-            registries.add(path)
-            vocab |= {m.group(1) for m in AUDIT_REGISTRY_CONST_RE.finditer(text)}
-    if not registries:
-        fallback = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, os.pardir, "src", "obs", "events.hpp")
-        if os.path.isfile(fallback):
-            with open(fallback, encoding="utf-8") as f:
-                vocab |= {m.group(1)
-                          for m in AUDIT_REGISTRY_CONST_RE.finditer(f.read())}
-    return vocab, registries
-
-
-def rule_audit_vocabulary(path, comment_masked, vocab):
-    findings = []
-    for pattern, how in ((AUDIT_ACTION_ASSIGN_RE, "assigned to an action field"),
-                         (AUDIT_CALL_LITERAL_RE, "passed to an audit call")):
-        for m in pattern.finditer(comment_masked):
-            if m.group(1) in vocab:
-                continue
-            findings.append(Finding(
-                path, line_of(comment_masked, m.start()), "audit-vocabulary",
-                f'unregistered audit event "{m.group(1)}" {how}; add it to '
-                "the roia-audit-event-registry header (src/obs/events.hpp) "
-                "and reference the constant"))
     return findings
 
 
@@ -763,13 +509,10 @@ def lint_files(files, assume_core=False):
     """(findings, suppressed, suppression-debt table) over `files`."""
     findings = []
     suppressed = []
-    messages_pairs = []
-    snapshot_pairs = []
     allows_by_file = {}
     # One lexing pass: the index masks every file, and the per-file rules
     # reuse its text.
     index = cpp_index.build_index(files)
-    audit_vocab, audit_registries = load_audit_vocabulary(files)
     for path in files:
         raw = index.raw[path]
         masked = index.masked[path]
@@ -796,45 +539,8 @@ def lint_files(files, assume_core=False):
                 | cpp_index.paired_decl_names(index.files_by_stem, path)[0])
             file_findings += rule_ordered_iteration(path, masked, unordered)
         file_findings += rule_bounded_retry(path, masked, in_core)
-        # The registry itself is exempt (its literals ARE the vocabulary);
-        # with no registry in sight the rule has nothing to check against.
-        if audit_vocab and path not in audit_registries:
-            file_findings += rule_audit_vocabulary(
-                path, mask_source(raw, keep_literals=True), audit_vocab)
-
-        if os.path.basename(path) == "messages.hpp":
-            # Only the real protocol header (under rtf/) has a golden-bytes
-            # table; fixture trees that merely contain a messages.hpp stay
-            # out of the check.
-            if os.path.basename(os.path.dirname(path)) == "rtf":
-                file_findings += rule_wire_sample_coverage(path, masked)
-            cpp = os.path.splitext(path)[0] + ".cpp"
-            if os.path.isfile(cpp):
-                cpp_masked = index.masked.get(cpp) or read_masked(cpp)
-                messages_pairs.append((path, masked, cpp, cpp_masked, allows))
-
-        if os.path.basename(path) == "snapshot_codec.cpp":
-            hpp = os.path.join(os.path.dirname(path), "entity.hpp")
-            if os.path.isfile(hpp):
-                hpp_masked = index.masked.get(hpp) or read_masked(hpp)
-                snapshot_pairs.append((path, masked, hpp, hpp_masked, allows))
-            else:
-                file_findings.append(Finding(
-                    path, 1, "serialization-coverage",
-                    "snapshot_codec.cpp without entity.hpp beside it — "
-                    "cannot check the kSnapshotSchema field coverage"))
 
         for finding in file_findings:
-            (suppressed if is_suppressed(finding, allows) else findings).append(finding)
-
-    for hpp_path, hpp_masked, cpp_path, cpp_masked, allows in messages_pairs:
-        for finding in rule_serialization_coverage(hpp_path, hpp_masked,
-                                                   cpp_path, cpp_masked):
-            (suppressed if is_suppressed(finding, allows) else findings).append(finding)
-
-    for cpp_path, cpp_masked, hpp_path, hpp_masked, allows in snapshot_pairs:
-        for finding in rule_snapshot_schema_coverage(cpp_path, cpp_masked,
-                                                     hpp_path, hpp_masked):
             (suppressed if is_suppressed(finding, allows) else findings).append(finding)
 
     # Whole-program rules: the index spans every linted file.
