@@ -163,6 +163,63 @@ void BM_DeltaDecodeView(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaDecodeView)->Arg(16)->Arg(64)->Arg(256);
 
+/// World populated with n avatars spread uniformly over the whole
+/// 1000x1000 arena (see spreadWorld below).
+rtf::World spreadWorld(std::size_t n);
+
+// A server's client links as a session serves them: one link per avatar
+// of the n-entity spread arena, each seeing the entities within the AOI
+// radius (~45 at n = 300, the calibration density), served round-robin.
+// One iteration is one link-tick: move, encode, decode, ack. The working
+// set is every link's retained views, so time per link-tick tracks how
+// many views each end keeps; `live_views` is the mean a receiver holds at
+// the end.
+void BM_DeltaLinkSession(benchmark::State& state) {
+  const rtf::SnapshotCodec codec{deltaProfile()};
+  const rtf::World world = spreadWorld(static_cast<std::size_t>(state.range(0)));
+  const double radius = game::FpsConfig{}.aoiRadius;
+  struct ClientLink {
+    rtf::SnapshotView view;
+    rtf::BaselineSender sender;
+    rtf::BaselineReceiver receiver;
+    std::uint64_t tick{0};
+  };
+  std::vector<ClientLink> links;
+  world.forEach([&](rtf::ConstEntityRef viewer) {
+    ClientLink& link = links.emplace_back(
+        ClientLink{{}, {codec, rtf::kClientViewFields}, rtf::BaselineReceiver{codec}});
+    world.forEach([&](rtf::ConstEntityRef e) {  // ascending ids
+      if (viewer.position.distance(e.position) > radius) return;
+      rtf::EntitySnapshot& s = link.view.emplace_back();
+      s.id = e.id;
+      s.owner = e.owner;
+      s.client = e.client;
+      s.x = static_cast<float>(e.position.x);
+      s.y = static_cast<float>(e.position.y);
+      s.health = 100.0f;
+    });
+  });
+  ser::ByteWriter out;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    ClientLink& link = links[next];
+    next = next + 1 == links.size() ? 0 : next + 1;
+    moveFifth(link.view, ++link.tick);
+    out.clear();
+    link.sender.encodeView(link.tick, link.view, {}, out);
+    auto decoded = link.receiver.decodeView(out.bytes());
+    if (decoded) link.sender.onAck(decoded->serverTick);
+    benchmark::DoNotOptimize(decoded);
+  }
+  std::size_t live = 0;
+  for (const ClientLink& link : links) {
+    for (const rtf::RetainedView& slot : link.receiver.retained()) live += slot.live ? 1 : 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["live_views"] = static_cast<double>(live) / static_cast<double>(links.size());
+}
+BENCHMARK(BM_DeltaLinkSession)->Arg(300);
+
 /// World populated with n avatars clustered for maximum AOI work.
 rtf::World denseWorld(std::size_t n) {
   rtf::World world(ZoneId{1});

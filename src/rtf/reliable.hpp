@@ -7,8 +7,9 @@
 // the hand-over forever, a lost replica sync leaves shadows stale, a lost
 // monitoring snapshot starves RTF-RMS. ReliableTransport wraps such frames
 // in a sequence-numbered envelope, acknowledges on receive, retransmits
-// with exponential backoff until acked or abandoned, and deduplicates on
-// the receive side. Delivery is at-least-once and unordered; receivers are
+// with exponential backoff until acked or until it gives up (abandoned:
+// unacked, not necessarily undelivered), and deduplicates on the receive
+// side. Delivery is at-least-once and unordered; receivers are
 // order-tolerant (entity versions, snapshot timestamps), so no head-of-line
 // blocking is needed. All timers run in the simulation, so retransmission
 // behaviour is as deterministic as everything else.
@@ -45,7 +46,9 @@ struct ReliableStats {
   std::uint64_t duplicatesDropped{0};
   std::uint64_t acksSent{0};
   std::uint64_t acksReceived{0};
-  /// Messages dropped after maxAttempts (peer presumed dead).
+  /// Messages the sender stopped retransmitting after maxAttempts without
+  /// an ack. Not a count of lost messages: one whose acks were all lost was
+  /// still delivered (a dead peer's messages are the ones that were not).
   std::uint64_t abandoned{0};
 };
 

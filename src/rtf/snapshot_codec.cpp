@@ -200,8 +200,9 @@ RetainedView& deadSlot(std::vector<RetainedView>& slots) {
 /// The one retention rule of both link ends. A sender diffs only against
 /// an acked tick >= tick - W (W = baselineAckWindow), so once `newest` is
 /// stored no later frame can name a view older than newest - W (one view
-/// of slack), nor one older than `floor` (the sender's acked tick): their
-/// slots die.
+/// of slack), nor one older than `floor`, the acked tick as that end knows
+/// it (the sender's own, or the newest baseline a receiver has seen named):
+/// their slots die.
 void forgetOld(std::vector<RetainedView>& slots, std::uint64_t newest, std::uint64_t window,
                std::uint64_t floor) {
   const std::uint64_t oldest = std::max(newest - std::min(newest, window), floor);
@@ -429,10 +430,13 @@ std::optional<BaselineReceiver::DecodedView> BaselineReceiver::decodeView(
   // retained view as it was.
   RetainedView& slot = deadSlot(views_);
   std::span<const EntitySnapshot> baseline;
+  std::uint64_t baseTick = floor_;
   if (!keyframe) {
-    const RetainedView* base = findLive(views_, reader.readVarU64());
-    // Baseline lost (the ack for it raced a drop): skip the frame; the
-    // sender keyframes once its ack window expires.
+    baseTick = reader.readVarU64();
+    const RetainedView* base = findLive(views_, baseTick);
+    // Baseline lost (the ack for it raced a drop) or older than one already
+    // named: skip the frame; the sender keyframes once its ack window
+    // expires.
     if (base == nullptr) return std::nullopt;
     baseline = base->view;
   }
@@ -473,7 +477,11 @@ std::optional<BaselineReceiver::DecodedView> BaselineReceiver::decodeView(
 
   latest_ = tick;
   hasLatest_ = true;
-  forgetOld(views_, tick, codec_->profile().baselineAckWindow, 0);
+  // No later frame names a view older than this frame's baseline: the
+  // sender names its acked tick, which never falls, and frames at or below
+  // `latest_` were refused above. A keyframe keeps the floor.
+  floor_ = baseTick;
+  forgetOld(views_, tick, codec_->profile().baselineAckWindow, floor_);
   slot.tick = tick;
   slot.live = true;
   return DecodedView{tick, keyframe, view, removed_};
@@ -483,6 +491,7 @@ void BaselineReceiver::reset() {
   for (RetainedView& slot : views_) slot.live = false;
   latest_ = 0;
   hasLatest_ = false;
+  floor_ = 0;
 }
 
 }  // namespace roia::rtf

@@ -221,7 +221,8 @@ class BaselineSender {
   const SnapshotCodec* codec_;
   FieldMask fields_;
   /// The views of ticks max(acked, newest - W) .. newest (W =
-  /// baselineAckWindow); dead slots wait for reuse.
+  /// baselineAckWindow): with an ack every tick, the acked view and the
+  /// newest. Dead slots wait for reuse.
   std::vector<RetainedView> sent_;
   std::vector<std::uint64_t> removedIds_;
   std::uint64_t ackedTick_{0};
@@ -247,26 +248,34 @@ class BaselineReceiver {
   };
 
   /// Applies one view payload. Returns nullopt when the frame is not
-  /// applicable (stale tick or unknown baseline); throws ser::DecodeError
-  /// on malformed bytes, leaving the retained views as they were.
+  /// applicable (stale tick, or a baseline never applied or older than one
+  /// already named); throws ser::DecodeError on malformed bytes, leaving
+  /// the retained views and the floor as they were.
   std::optional<DecodedView> decodeView(std::span<const std::uint8_t> payload);
 
-  /// Drops all baselines and the tick watermark (client re-homing, replica
-  /// link reset after crash recovery).
+  /// Drops all baselines, the tick watermark and the floor (client
+  /// re-homing, replica link reset after crash recovery).
   void reset();
 
   [[nodiscard]] bool hasView() const { return hasLatest_; }
   [[nodiscard]] std::uint64_t latestTick() const { return latest_; }
+  /// Every slot, live or dead, in no particular order.
+  [[nodiscard]] std::span<const RetainedView> retained() const { return views_; }
 
  private:
   const SnapshotCodec* codec_;
-  /// The views of ticks latest-W .. latest (W = baselineAckWindow): every
-  /// delta that can still apply names one of them (DESIGN §16). A frame
-  /// decodes into a dead slot, which turns live once the frame has parsed.
+  /// The views of ticks max(floor, latest - W) .. latest (W =
+  /// baselineAckWindow): every delta that can still apply names one of
+  /// them (DESIGN §16). With an ack every tick, the last baseline named
+  /// and the newest view. A frame decodes into a dead slot, which turns
+  /// live once the frame has parsed.
   std::vector<RetainedView> views_;
   std::vector<EntityId> removed_;
   std::uint64_t latest_{0};
   bool hasLatest_{false};
+  /// The newest baseline tick a fully parsed delta has named: the sender's
+  /// acked tick as this end knows it.
+  std::uint64_t floor_{0};
 };
 
 }  // namespace roia::rtf

@@ -6,7 +6,7 @@
 // entities, encode the view into a reused ByteWriter, decode it, and ack
 // it. After a short warm-up (the link ends fill their retained-view
 // buffers) every round must run without a single heap allocation, on a
-// client link and on a replica link.
+// client link (at W = 1 and at the default window) and on a replica link.
 //
 // The event queue at a steady depth of pending events, the full-codec
 // receive path of a bot (frame decode, then the update's ids), and a tick
@@ -125,9 +125,10 @@ SnapshotView makeView(std::size_t entities, std::size_t appDataBytes) {
   return view;
 }
 
-// W = 1 keeps the warm-up at 3 rounds: a receiver retains W+1 views and
-// decodes the next into one more slot, so it owns W+2 view buffers, filled
-// one per round.
+// Acked every round, a receiver holds the view its last delta named and the
+// newest, and decodes the next into a third slot: three view buffers,
+// filled one per round in the warm-up. W = 1 caps it there even without
+// the floor (W+1 views and one more slot).
 ReplicationProfile deltaProfile() {
   ReplicationProfile profile;
   profile.codec = ReplicationCodec::kDelta;
@@ -137,6 +138,19 @@ ReplicationProfile deltaProfile() {
 
 TEST(AllocationTest, ClientLinkSteadyStateAllocatesNothing) {
   const LinkRun run = runLink(deltaProfile(), kClientViewFields, makeView(64, 0));
+  EXPECT_EQ(run.applied, 103u);
+  EXPECT_EQ(run.allocations, 0u);
+}
+
+// The default window, W = 16: the floor alone keeps the receiver at three
+// slots. A periodic keyframe keeps one more view for a round (a fourth
+// slot), so keyframes are pushed past the run.
+TEST(AllocationTest, ClientLinkAtTheDefaultWindowAllocatesNothing) {
+  ReplicationProfile profile;
+  profile.codec = ReplicationCodec::kDelta;
+  profile.keyframeInterval = 1000;
+  ASSERT_EQ(profile.baselineAckWindow, 16u);
+  const LinkRun run = runLink(profile, kClientViewFields, makeView(64, 0));
   EXPECT_EQ(run.applied, 103u);
   EXPECT_EQ(run.allocations, 0u);
 }

@@ -13,7 +13,9 @@
 //   mode 1    a stream of full-codec snapshots via ByteReader
 //   mode 2    the payload split in two, fed through ONE receiver
 //             (exercises the baseline-lookup state machine: a frame
-//             decoded after another frame sees retained baselines)
+//             decoded after another frame sees retained baselines); a
+//             decode that leaves a live view older than max(newest - W,
+//             the newest baseline named) aborts
 //   mode 3    the payload as a state update, through the ids decoder and
 //             the full decoder; the two must reject the same inputs and
 //             read the same ids from the rest (a mismatch aborts)
@@ -34,6 +36,7 @@
 //                                                  corpus (built-in seeds
 //                                                  when DIR is omitted)
 //       fuzz_snapshot_decode FILE...               replay crash inputs
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -65,18 +68,39 @@ const roia::rtf::SnapshotCodec& deltaCodec() {
   return codec;
 }
 
-void decodeOneView(roia::rtf::BaselineReceiver& receiver,
+/// Returns whether the payload decoded to a view.
+bool decodeOneView(roia::rtf::BaselineReceiver& receiver,
                    std::span<const std::uint8_t> payload) {
   try {
     auto decoded = receiver.decodeView(payload);
-    if (decoded) {
-      // Touch the reconstructed view so the optimizer cannot elide it and
-      // sanitizers see every byte the decoder produced.
-      volatile std::size_t entities = decoded->view.size();
-      (void)entities;
-    }
+    if (!decoded) return false;
+    // Touch the reconstructed view so the optimizer cannot elide it and
+    // sanitizers see every byte the decoder produced.
+    volatile std::size_t entities = decoded->view.size();
+    (void)entities;
+    return true;
   } catch (const roia::ser::DecodeError&) {
     // Expected terminal state for malformed bytes.
+    return false;
+  }
+}
+
+/// Aborts unless every view the receiver holds live after `payload`
+/// decoded is at least max(newest - W, named): no later frame can name an
+/// older one. `named`, the newest baseline tick a decoded frame has named,
+/// is first updated from the payload's header.
+void checkRetention(const roia::rtf::BaselineReceiver& receiver,
+                    std::span<const std::uint8_t> payload, std::uint64_t& named) {
+  roia::ser::ByteReader header{payload};
+  if ((header.readU8() & 1u) == 0) {
+    (void)header.readVarU64();
+    named = std::max(named, header.readVarU64());
+  }
+  const std::uint64_t newest = receiver.latestTick();
+  const std::uint64_t window = deltaCodec().profile().baselineAckWindow;
+  const std::uint64_t oldest = std::max(newest - std::min(newest, window), named);
+  for (const roia::rtf::RetainedView& slot : receiver.retained()) {
+    if (slot.live && slot.tick < oldest) std::abort();
   }
 }
 
@@ -139,8 +163,10 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
       if (payload.empty()) return;
       const std::size_t split = 1 + payload[0] % payload.size();
       roia::rtf::BaselineReceiver receiver{deltaCodec()};
-      decodeOneView(receiver, payload.subspan(0, split));
-      decodeOneView(receiver, payload.subspan(split));
+      std::uint64_t named = 0;
+      for (const auto frame : {payload.subspan(0, split), payload.subspan(split)}) {
+        if (decodeOneView(receiver, frame)) checkRetention(receiver, frame, named);
+      }
       break;
     }
   }
@@ -216,6 +242,22 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
     sender.encodeView(2, view, removed, delta);
     add(0, delta.bytes());
     add(2, delta.bytes());
+
+    // The keyframe, then the delta against it, through one receiver. Mode 2
+    // cuts after 1 + payload[0] % size bytes and decodeView reads only bit
+    // 0 of the flags byte, so an odd flags byte can cut between the frames.
+    // Bytes after a frame are ignored, so one trailing zero can make an odd
+    // flags byte reach the cut.
+    std::vector<std::uint8_t> both(keyframe.bytes().begin(), keyframe.bytes().end());
+    both.insert(both.end(), delta.bytes().begin(), delta.bytes().end());
+    if ((keyframe.size() - 1) % 2 == 0 && both.size() % 2 == 0) both.push_back(0);
+    for (std::size_t flags = 1; flags < 256; flags += 2) {
+      if (1 + flags % both.size() == keyframe.size()) {
+        both[0] = static_cast<std::uint8_t>(flags);
+        add(2, both);
+        break;
+      }
+    }
   }
   {
     roia::rtf::BaselineSender sender{codec, roia::rtf::kClientViewFields};

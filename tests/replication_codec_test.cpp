@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -318,6 +319,25 @@ EntitySnapshot& entry(SnapshotView& view, std::uint64_t id) {
   return *it;
 }
 
+/// The ticks of the views `receiver` holds live, ascending.
+std::vector<std::uint64_t> liveTicks(const BaselineReceiver& receiver) {
+  std::vector<std::uint64_t> ticks;
+  for (const RetainedView& slot : receiver.retained()) {
+    if (slot.live) ticks.push_back(slot.tick);
+  }
+  std::sort(ticks.begin(), ticks.end());
+  return ticks;
+}
+
+/// The baseline tick a view payload names, read from its header (flag,
+/// tick, baseline tick); nullopt for a keyframe.
+std::optional<std::uint64_t> namedBaseline(std::span<const std::uint8_t> payload) {
+  ser::ByteReader header(payload);
+  if ((header.readU8() & 1u) != 0) return std::nullopt;
+  (void)header.readVarU64();
+  return header.readVarU64();
+}
+
 
 TEST(BaselineLinkTest, KeyframeThenDeltasReconstructSpawnsMovesAndDespawns) {
   Link link;
@@ -527,6 +547,51 @@ TEST(BaselineLinkTest, MalformedFrameLeavesBaselinesIntact) {
   expectViewEq(decoded->view, quantizedView(link.codec, view));
 }
 
+// Nor may it raise the floor: a baseline named by a frame that did not
+// parse says nothing about the sender's ack. Here the broken frame names
+// tick 3 while the sender's ack stays at tick 1, so the periodic keyframe
+// that follows must keep view 1, which the delta after it names.
+TEST(BaselineLinkTest, MalformedDeltaLeavesTheFloorWhereItWas) {
+  ReplicationProfile profile;
+  profile.baselineAckWindow = 16;
+  profile.keyframeInterval = 3;
+  Link link(profile);
+  SnapshotView view = makeView({1, 2});
+  ASSERT_TRUE(link.step(1, view).has_value());  // keyframe, delivered + acked
+  for (std::uint64_t tick = 2; tick <= 3; ++tick) {  // delivered, acks lost
+    entry(view, 1).x += 1.0f;
+    ser::ByteWriter out;
+    ASSERT_FALSE(link.sender.encodeView(tick, view, {}, out));
+    ASSERT_TRUE(link.receiver.decodeView(out.bytes()).has_value());
+  }
+
+  // A delta at tick 9 against baseline 3 whose second entry repeats id 1.
+  ser::ByteWriter broken;
+  broken.writeU8(0);
+  broken.writeVarU64(9);
+  broken.writeVarU64(3);  // baseline tick
+  broken.writeVarU64(2);  // two entries
+  broken.writeVarU64(1);  // id 1
+  broken.writeVarU64(0);
+  broken.writeVarU64(0);  // zero gap: id 1 again
+  broken.writeVarU64(0);
+  broken.writeVarU64(0);  // no removals
+  EXPECT_THROW(link.receiver.decodeView(broken.bytes()), ser::DecodeError);
+  EXPECT_EQ(liveTicks(link.receiver), (std::vector<std::uint64_t>{1, 2, 3}));
+
+  entry(view, 2).x += 1.0f;
+  ser::ByteWriter key;
+  ASSERT_TRUE(link.sender.encodeView(4, view, {}, key));  // periodic keyframe
+  ASSERT_TRUE(link.receiver.decodeView(key.bytes()).has_value());
+  entry(view, 2).x += 1.0f;
+  ser::ByteWriter out;
+  ASSERT_FALSE(link.sender.encodeView(5, view, {}, out));
+  ASSERT_EQ(namedBaseline(out.bytes()), 1u);
+  auto decoded = link.receiver.decodeView(out.bytes());
+  ASSERT_TRUE(decoded.has_value());
+  expectViewEq(decoded->view, quantizedView(link.codec, view));
+}
+
 TEST(BaselineLinkTest, NonAscendingViewsAreRejectedBeforeEncoding) {
   Link link;
   ser::ByteWriter out;
@@ -573,9 +638,9 @@ TEST(BaselineLinkTest, ReceiverKeepsTheOldestBaselineASenderMayName) {
 // Seeded lossy link: frames and acks are dropped, acks arrive 0..W ticks
 // late and out of order, entities move, spawn and despawn. Some ticks send
 // no frame at all (a shed observer's link skips them), and acks for those
-// never-sent ticks arrive too. The receiver's W+1-view window must never
-// lose a baseline the sender names, and every applied view must be exactly
-// the lattice image of the view that was sent.
+// never-sent ticks arrive too. The receiver's retention (the W window and
+// its floor) must never lose a baseline the sender names, and every
+// applied view must be exactly the lattice image of the view that was sent.
 TEST(BaselineLinkTest, LossyLinkDecodesEveryFrameWhoseBaselineWasApplied) {
   ReplicationProfile profile;
   profile.baselineAckWindow = 4;
@@ -646,6 +711,194 @@ TEST(BaselineLinkTest, LossyLinkDecodesEveryFrameWhoseBaselineWasApplied) {
     acks.push_back({tick + rng.uniformInt(0, profile.baselineAckWindow), tick});
   }
   EXPECT_GT(deltasDecoded, 800u);
+}
+
+// The lossy link at several windows, with frames delivered 0..2 ticks late
+// so they overtake each other. A frame at or below the receiver's latest
+// tick is stale and skipped; every other frame whose baseline was applied
+// decodes to the lattice image of the view sent. After each decode the
+// receiver holds no view older than the newest baseline a decoded frame
+// named (its floor), nor than latest - W.
+TEST(BaselineLinkTest, ReorderedLossyLinksKeepOnlyBaselinesASenderCanName) {
+  for (const std::uint64_t window : {1, 2, 4, 16}) {
+    SCOPED_TRACE(window);
+    ReplicationProfile profile;
+    profile.baselineAckWindow = window;
+    Link link(profile, kAllFields);
+    Rng rng(0xF100D + window);
+    SnapshotView view;
+    std::uint64_t nextId = 3;
+    for (int i = 0; i < 24; ++i, nextId += 3) view.push_back(makeView({nextId}).front());
+
+    struct InFlight {
+      std::uint64_t due;
+      std::uint64_t tick;
+      std::vector<std::uint8_t> payload;
+      SnapshotView sent;
+      std::vector<EntityId> removed;
+    };
+    struct Ack {
+      std::uint64_t due;
+      std::uint64_t tick;
+    };
+    std::vector<InFlight> frames;
+    std::vector<Ack> acks;
+    std::set<std::uint64_t> applied;
+    std::uint64_t floor = 0;
+    std::size_t deltasDecoded = 0;
+    std::size_t staleSkipped = 0;
+    for (std::uint64_t tick = 1; tick <= 2000; ++tick) {
+      std::erase_if(acks, [&](const Ack& ack) {
+        if (ack.due > tick) return false;
+        link.sender.onAck(ack.tick);
+        return true;
+      });
+      if (rng.chance(0.1)) {  // tick skipped: no frame, yet an ack for it
+        acks.push_back({tick + rng.uniformInt(0, window), tick});
+        continue;
+      }
+      for (EntitySnapshot& s : view) {
+        if (!rng.chance(0.2)) continue;
+        s.x += static_cast<float>(rng.uniform(-2.0, 2.0));
+        s.version += 1;
+      }
+      std::vector<EntityId> removed;
+      if (rng.chance(0.05)) {
+        const std::size_t victim = static_cast<std::size_t>(rng.uniformInt(0, view.size() - 1));
+        removed.push_back(view[victim].id);
+        view.erase(view.begin() + static_cast<std::ptrdiff_t>(victim));
+        EntitySnapshot spawned = sampleSnapshot();
+        spawned.id = EntityId{nextId};
+        nextId += 1 + rng.uniformInt(0, 3);
+        view.push_back(spawned);
+      }
+      ser::ByteWriter out;
+      link.sender.encodeView(tick, view, removed, out);
+      if (!rng.chance(0.2)) {  // else the frame is dropped
+        frames.push_back({tick + rng.uniformInt(0, 2), tick, std::move(out).take(), view, removed});
+      }
+
+      for (auto it = frames.begin(); it != frames.end();) {
+        if (it->due > tick) {
+          ++it;
+          continue;
+        }
+        const InFlight frame = std::move(*it);
+        it = frames.erase(it);
+        const bool stale = link.receiver.hasView() && frame.tick <= link.receiver.latestTick();
+        const std::optional<std::uint64_t> named = namedBaseline(frame.payload);
+        const bool applicable = !stale && (!named || applied.contains(*named));
+        auto decoded = link.receiver.decodeView(frame.payload);
+        ASSERT_EQ(decoded.has_value(), applicable) << "tick " << frame.tick;
+        if (!decoded) {
+          if (stale) ++staleSkipped;
+          continue;
+        }
+        expectViewEq(decoded->view, quantizedView(link.codec, frame.sent));
+        EXPECT_EQ(std::vector<EntityId>(decoded->removed.begin(), decoded->removed.end()),
+                  frame.removed);
+        applied.insert(frame.tick);
+        if (named) {
+          EXPECT_GE(*named, floor) << "tick " << frame.tick;
+          floor = *named;
+          ++deltasDecoded;
+        }
+        const std::uint64_t oldest = std::max(floor, frame.tick - std::min(frame.tick, window));
+        for (const std::uint64_t live : liveTicks(link.receiver)) {
+          ASSERT_GE(live, oldest) << "tick " << frame.tick;
+        }
+        if (rng.chance(0.2)) continue;  // ack dropped
+        acks.push_back({tick + rng.uniformInt(0, window), frame.tick});
+      }
+    }
+    EXPECT_GT(deltasDecoded, 200u);
+    EXPECT_GT(staleSkipped, 50u);
+  }
+}
+
+// A sender's acked tick never falls, so no frame names a baseline older
+// than one a decoded frame has named: the receiver dropped those views,
+// and skips a frame naming one without touching the views it holds.
+TEST(BaselineLinkTest, DeltaAgainstABaselineBelowTheFloorIsSkipped) {
+  ReplicationProfile profile;
+  profile.keyframeInterval = 1000;  // periodic keyframes out of the way
+  Link link(profile);
+  SnapshotView view = makeView({1, 2});
+  for (std::uint64_t tick = 1; tick <= 3; ++tick) {
+    entry(view, 1).x += 1.0f;
+    ASSERT_TRUE(link.step(tick, view).has_value());
+  }
+  // Tick 3 named tick 2: views 2 and 3 are all a sender can still name.
+  ASSERT_EQ(liveTicks(link.receiver), (std::vector<std::uint64_t>{2, 3}));
+
+  ser::ByteWriter older;  // a delta at tick 4 against tick 1
+  older.writeU8(0);
+  older.writeVarU64(4);
+  older.writeVarU64(1);  // baseline tick
+  older.writeVarU64(0);
+  older.writeVarU64(0);
+  EXPECT_FALSE(link.receiver.decodeView(older.bytes()).has_value());
+  EXPECT_EQ(link.receiver.latestTick(), 3u);
+  EXPECT_EQ(liveTicks(link.receiver), (std::vector<std::uint64_t>{2, 3}));
+
+  entry(view, 2).y += 2.0f;
+  auto decoded = link.step(4, view);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_FALSE(decoded->keyframe);
+  expectViewEq(decoded->view, quantizedView(link.codec, view));
+}
+
+// On a clean link acked every tick each delta names the tick before it, so
+// the receiver holds that view and the newest. A periodic keyframe names
+// none: until the next delta names it, the view the delta before it named
+// stays too.
+TEST(BaselineLinkTest, CleanAckedLinkHoldsTwoViewsOrThreeAfterAKeyframe) {
+  Link link;  // the default profile: W = 16, a keyframe every 64 ticks
+  SnapshotView view = makeView({1, 2, 3, 4});
+  std::size_t periodicKeyframes = 0;
+  for (std::uint64_t tick = 1; tick <= 200; ++tick) {
+    entry(view, 1 + tick % 4).x += 1.0f;
+    auto decoded = link.step(tick, view);
+    ASSERT_TRUE(decoded.has_value());
+    const std::size_t live = liveTicks(link.receiver).size();
+    if (decoded->keyframe && tick > 1) {
+      ++periodicKeyframes;
+      EXPECT_EQ(live, 3u) << "tick " << tick;
+    } else {
+      EXPECT_LE(live, 2u) << "tick " << tick;
+    }
+    EXPECT_LE(link.receiver.retained().size(), 4u) << "tick " << tick;
+  }
+  EXPECT_EQ(periodicKeyframes, 3u);
+}
+
+// A re-homed client resets its receiver and then hears from a server whose
+// ticks may lie far below its old server's. The reset drops the floor too:
+// the new sender keyframes until its first ack lands, and its first delta
+// names its first keyframe, below the old server's baselines.
+TEST(BaselineLinkTest, ResetDropsTheFloorOfThePreviousServer) {
+  Link link;
+  SnapshotView view = makeView({1, 2});
+  for (std::uint64_t tick = 500; tick <= 503; ++tick) {
+    entry(view, 1).x += 1.0f;
+    ASSERT_TRUE(link.step(tick, view).has_value());
+  }
+
+  link.receiver.reset();
+  BaselineSender next{link.codec, kAllFields};
+  for (const std::uint64_t tick : {300, 301}) {  // the ack for 300 is still in flight
+    ser::ByteWriter key;
+    ASSERT_TRUE(next.encodeView(tick, view, {}, key));
+    ASSERT_TRUE(link.receiver.decodeView(key.bytes()).has_value());
+  }
+  next.onAck(300);
+  entry(view, 2).x += 1.0f;
+  ser::ByteWriter out;
+  ASSERT_FALSE(next.encodeView(302, view, {}, out));
+  ASSERT_EQ(namedBaseline(out.bytes()), 300u);
+  auto decoded = link.receiver.decodeView(out.bytes());
+  ASSERT_TRUE(decoded.has_value());
+  expectViewEq(decoded->view, quantizedView(link.codec, view));
 }
 
 // --- cluster-level properties --------------------------------------------
